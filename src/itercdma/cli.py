@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -41,10 +42,7 @@ def _write_manifest(outdir: Path, experiment: str, config, seed: int, extra=None
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if config is not None:
-        manifest["config"] = {k: getattr(config, k) for k in
-                              ("n_users", "spreading_gain", "n_paths",
-                               "coherence_time", "n_training", "noise_var",
-                               "code_model", "seed")}
+        manifest["config"] = dataclasses.asdict(config)
         manifest["config_hash"] = config.digest()
     if extra:
         manifest.update(extra)
@@ -58,7 +56,7 @@ def _base_config(args, **defaults) -> SystemConfig:
     else:
         cfg = SystemConfig(**defaults)
     if args.seed is not None:
-        cfg = SystemConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -71,7 +69,7 @@ def cmd_fig2(args) -> int:
     m_values = [int(v) for v in args.coherence_times.split(",")]
     rows = []
     for m in m_values:
-        cfg_m = SystemConfig(**{**cfg.__dict__, "coherence_time": m})
+        cfg_m = dataclasses.replace(cfg, coherence_time=m)
         stats = empirical_estimation_stats(cfg_m, args.error_rate, args.trials,
                                            realizations=args.realizations)
         pred_f = analysis.feedback_estimate_variance(
@@ -100,8 +98,7 @@ def cmd_fig3(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for snr_db in [float(v) for v in args.snrs_db.split(",")]:
-        cfg_s = SystemConfig(**{**cfg.__dict__,
-                                "noise_var": noise_var_from_snr_db(snr_db)})
+        cfg_s = dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
         for pe in [float(v) for v in args.error_rates.split(",")]:
             stats = measure_pic_stats(cfg_s, pe, frames=args.frames,
                                       realizations=args.realizations)
@@ -167,9 +164,8 @@ def cmd_capacity(args) -> int:
     modes = args.modes.split(",")
     rows = []
     for m in [int(v) for v in args.coherence_times.split(",")]:
-        frac = cfg.training_fraction if cfg.coherence_time else 0.2
-        cfg_m = SystemConfig(**{**cfg.__dict__, "coherence_time": m,
-                                "n_training": max(1, round(frac * m))})
+        cfg_m = dataclasses.replace(cfg, coherence_time=m,
+                                    n_training=max(1, round(cfg.training_fraction * m)))
         for mode in modes:
             if mode not in PIPELINE_MODES:
                 raise SystemExit(f"unknown mode {mode!r}")

@@ -34,7 +34,6 @@ class CodecSpec:
 
     family: str = "convolutional"            # or "turbo"
     generators: tuple = (0o35, 0o23)          # turbo: (feedback, feedforward) RSC pair
-    rate: float = 0.5
     codeword_length: int = 1024
     interleaver_seed: int = 7
     turbo_iterations: int = 8
@@ -42,8 +41,6 @@ class CodecSpec:
     def __post_init__(self):
         if self.family not in ("convolutional", "turbo"):
             raise ParameterError(f"unknown codec family {self.family!r}")
-        if self.rate != 0.5:
-            raise ParameterError("only rate 1/2 codecs are wired up")
         if self.codeword_length % 2:
             raise ParameterError("codeword_length must be even at rate 1/2")
 

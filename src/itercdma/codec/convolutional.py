@@ -25,6 +25,24 @@ def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+def _predecessors(next_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pred_state, pred_bit), each (S, 2): the two (state, bit) entering each state.
+
+    Every shift-register trellis here has exactly two predecessors per state.
+    """
+    n_states = next_state.shape[0]
+    pred_state = np.empty((n_states, 2), dtype=np.int64)
+    pred_bit = np.empty((n_states, 2), dtype=np.int64)
+    fill = np.zeros(n_states, dtype=np.int64)
+    for state in range(n_states):
+        for bit in (0, 1):
+            nxt = next_state[state, bit]
+            pred_state[nxt, fill[nxt]] = state
+            pred_bit[nxt, fill[nxt]] = bit
+            fill[nxt] += 1
+    return pred_state, pred_bit
+
+
 class ConvolutionalCode:
     """Rate-1/2 feedforward convolutional code with terminated blocks."""
 
@@ -35,9 +53,6 @@ class ConvolutionalCode:
         self.constraint_length = max(g.bit_length() for g in self.generators)
         self.memory = self.constraint_length - 1
         self.n_states = 1 << self.memory
-        self._build_tables()
-
-    def _build_tables(self):
         m, n_states = self.memory, self.n_states
         self.next_state = np.empty((n_states, 2), dtype=np.int64)
         out_bits = np.empty((n_states, 2, 2), dtype=np.int8)
@@ -48,19 +63,7 @@ class ConvolutionalCode:
                     out_bits[state, bit, j] = _parity(gen & reg)
                 self.next_state[state, bit] = reg >> 1
         self.out_signs = (1.0 - 2.0 * out_bits).astype(np.float64)
-        # Each state has exactly two (state, bit) predecessors.
-        self.pred_state = np.empty((n_states, 2), dtype=np.int64)
-        self.pred_bit = np.empty((n_states, 2), dtype=np.int64)
-        fill = np.zeros(n_states, dtype=np.int64)
-        for state in range(n_states):
-            for bit in (0, 1):
-                nxt = self.next_state[state, bit]
-                self.pred_state[nxt, fill[nxt]] = state
-                self.pred_bit[nxt, fill[nxt]] = bit
-                fill[nxt] += 1
-
-    def coded_length(self, n_info: int) -> int:
-        return 2 * (n_info + self.memory)
+        self.pred_state, self.pred_bit = _predecessors(self.next_state)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode batched info bits (B, k) -> coded bits (B, 2*(k+memory))."""

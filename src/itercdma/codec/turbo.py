@@ -16,13 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError
+from .convolutional import _NEG, _parity, _predecessors
 from .interleaver import make_permutation
-
-_NEG = -1e30
-
-
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
 
 
 class RscCode:
@@ -46,15 +41,7 @@ class RscCode:
                 self.next_state[state, bit] = reg >> 1
         self.parity_signs = (1.0 - 2.0 * self.parity_bits).astype(np.float64)
         self.input_signs = np.array([1.0, -1.0])
-        self.pred_state = np.empty((n_states, 2), dtype=np.int64)
-        self.pred_bit = np.empty((n_states, 2), dtype=np.int64)
-        fill = np.zeros(n_states, dtype=np.int64)
-        for state in range(n_states):
-            for bit in (0, 1):
-                nxt = self.next_state[state, bit]
-                self.pred_state[nxt, fill[nxt]] = state
-                self.pred_bit[nxt, fill[nxt]] = bit
-                fill[nxt] += 1
+        self.pred_state, self.pred_bit = _predecessors(self.next_state)
 
     def encode_parity(self, info_bits: np.ndarray) -> np.ndarray:
         """Parity stream (B, k) for batched info bits (B, k), state starts at 0."""
@@ -124,9 +111,6 @@ class TurboCode:
         self.rsc = RscCode(*generators)
         self.permutation = make_permutation(info_length, interleaver_seed)
         self.inverse = np.argsort(self.permutation)
-
-    def coded_length(self, n_info=None) -> int:
-        return 2 * self.info_length
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Systematic bits with alternating punctured parities, (B, 2k)."""

@@ -48,49 +48,6 @@ def hard_decisions(combined: np.ndarray) -> np.ndarray:
     return np.where(combined.real >= 0, 1, -1).astype(np.int8)
 
 
-@dataclass
-class LmmseDetection:
-    """Per-user LMMSE soft outputs for one symbol period."""
-
-    soft: np.ndarray              # (K,) complex filter outputs
-    bias: np.ndarray              # (K,) real, E{z_k | b_k} = bias_k * b_k under the model
-
-    def llrs(self) -> np.ndarray:
-        """Channel LLRs assuming the modeled output statistics hold.
-
-        Under the MMSE model z_k = bias_k b_k + noise with complex noise
-        variance bias_k (1 - bias_k), the real-part LLR is 4 Re(z)/(1-bias).
-        """
-        return 4.0 * self.soft.real / np.clip(1.0 - self.bias, 1e-9, None)
-
-
-def lmmse_detect(chips: np.ndarray,
-                 codes_period: np.ndarray,
-                 gains: np.ndarray,
-                 noise_var: float) -> LmmseDetection:
-    """Linear MMSE detection treating the supplied gains as the true channel.
-
-    Builds each user's effective signature h_k = sum_l gains[k,l] s_kl and
-    applies w_k = (H H^H + noise_var I)^{-1} h_k, which combines the L paths
-    in one step.  A singular covariance (noiseless, overloaded) falls back
-    to a tiny diagonal ridge.
-    """
-    k, l, n = codes_period.shape
-    if gains.shape != (k, l):
-        raise ParameterError(f"gains shape {gains.shape}, expected {(k, l)}")
-    signatures = np.einsum("kl,kln->nk", gains, codes_period)         # (N, K)
-    cov = signatures @ signatures.conj().T + noise_var * np.eye(n)
-    try:
-        flt = np.linalg.solve(cov, signatures)
-    except np.linalg.LinAlgError:
-        warnings.warn("LMMSE covariance singular; adding 1e-12 ridge",
-                      RuntimeWarning, stacklevel=2)
-        flt = np.linalg.solve(cov + 1e-12 * np.eye(n), signatures)
-    soft = flt.conj().T @ chips
-    bias = np.real(np.einsum("nk,nk->k", signatures.conj(), flt))
-    return LmmseDetection(soft=soft, bias=bias)
-
-
 def matched_filter_frame(chips: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Matched-filter a whole frame at once: (M, N) x (M, K, L, N) -> (M, K, L)."""
     return np.einsum("mkln,mn->mkl", codes, chips, optimize=True)
@@ -98,10 +55,14 @@ def matched_filter_frame(chips: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def lmmse_detect_frame(chips: np.ndarray, codes: np.ndarray,
                        gains: np.ndarray, noise_var: float):
-    """Batched LMMSE over the periods of one frame.
+    """Linear MMSE detection over the periods of one frame, batched.
 
-    Returns (soft, bias), each (M, K).  Same computation per period as
-    :func:`lmmse_detect` with the covariance solves batched.
+    Treats ``gains`` (K, L) as the true channel: each user's effective
+    signature per period is h_k = sum_l gains[k,l] s_kl and its filter is
+    w_k = (H H^H + noise_var I)^{-1} h_k, which combines the L paths in one
+    step.  A singular covariance (noiseless, overloaded) falls back to a
+    tiny diagonal ridge with a warning.  Returns (soft, bias), each (M, K),
+    with E{soft_k | b_k} = bias_k * b_k under the model.
     """
     m, k, l, n = codes.shape
     signatures = np.einsum("kl,mkln->mnk", gains, codes, optimize=True)
@@ -120,7 +81,11 @@ def lmmse_detect_frame(chips: np.ndarray, codes: np.ndarray,
 
 
 def lmmse_llrs(soft: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Channel LLRs for LMMSE outputs under the modeled statistics."""
+    """Channel LLRs for LMMSE outputs under the modeled statistics.
+
+    Under the MMSE model z_k = bias_k b_k + noise with complex noise
+    variance bias_k (1 - bias_k), the real-part LLR is 4 Re(z)/(1-bias).
+    """
     return 4.0 * soft.real / np.clip(1.0 - bias, 1e-9, None)
 
 
@@ -280,13 +245,11 @@ def measure_pic_stats(config: SystemConfig,
             if channel_knowledge == "perfect":
                 est = channel.gains
             elif channel_knowledge == "all_periods":
-                stacked = build_stacked_matrix(codes, feedback.decisions,
-                                               source="feedback")
+                stacked = build_stacked_matrix(codes, feedback.decisions)
                 est = ml_estimate(stacked, stack_received(received)) \
                     .gains_matrix(ll)
             else:
-                stacked = build_stacked_matrix(codes, feedback.decisions,
-                                               source="feedback")
+                stacked = build_stacked_matrix(codes, feedback.decisions)
                 est = leave_one_out_estimates_fast(
                     stacked, received.chips).reshape(m, kk, ll)
 

@@ -28,17 +28,16 @@ import scipy.linalg as sla
 
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError, RankError
-from .solvers import SolveResult, solve_normal_equations
+from .solvers import SolveResult, cholesky_factor, solve_normal_equations
 from . import system_model as sm
 
 
 @dataclass
 class StackedMatrix:
-    """Stacked real code matrix (N*B, K*L) plus provenance."""
+    """Stacked real code matrix (N*B, K*L) and the periods it stacks."""
 
     matrix: np.ndarray
     blocks: np.ndarray            # symbol periods that were stacked
-    source: str                   # "truth" | "feedback" | "training"
 
     @property
     def n_blocks(self) -> int:
@@ -47,8 +46,7 @@ class StackedMatrix:
 
 def build_stacked_matrix(codes: sm.SpreadingEnsemble,
                          symbols: np.ndarray,
-                         blocks=None,
-                         source: str = "truth") -> StackedMatrix:
+                         blocks=None) -> StackedMatrix:
     """Stack per-period code matrices with symbol signs applied.
 
     ``symbols`` is the (K, M) array of +-1 values actually believed by the
@@ -69,7 +67,7 @@ def build_stacked_matrix(codes: sm.SpreadingEnsemble,
     signed = codes.codes[blocks] * symbols.T[blocks, :, None, None]
     mat = signed.reshape(len(blocks), k * l, n).transpose(0, 2, 1)
     return StackedMatrix(matrix=np.ascontiguousarray(mat.reshape(len(blocks) * n, k * l)),
-                         blocks=blocks, source=source)
+                         blocks=blocks)
 
 
 def stack_received(received: sm.ReceivedFrame, blocks=None) -> np.ndarray:
@@ -81,14 +79,14 @@ def stack_received(received: sm.ReceivedFrame, blocks=None) -> np.ndarray:
 
 @dataclass
 class ChannelEstimate:
-    """Least-squares gain estimate with its normal-equations ingredients."""
+    """Least-squares gain estimate, its Gram matrix and the solver's report.
+
+    ``solve_info.residual`` is ||R a_hat - y|| / ||y|| = ||S^T (r - S a_hat)|| / ||y||.
+    """
 
     gains_flat: np.ndarray        # (K*L,) complex
     gram: np.ndarray              # R = S^T S, real (K*L, K*L)
-    projection: np.ndarray        # y = S^T r, complex (K*L,)
-    solver_used: str
-    residual: float               # ||S^T (r - S a_hat)|| / ||y||
-    solve_info: SolveResult | None = None
+    solve_info: SolveResult
 
     def gains_matrix(self, n_paths: int) -> np.ndarray:
         return self.gains_flat.reshape(-1, n_paths)
@@ -110,12 +108,7 @@ def ml_estimate(stacked: StackedMatrix,
     gram = s.T @ s
     proj = s.T @ received_vec
     result = solve_normal_equations(gram, proj, method=method, tol=tol, max_iter=max_iter)
-    a_hat = result.solution
-    resid = np.linalg.norm(s.T @ (received_vec - s @ a_hat))
-    resid /= max(np.linalg.norm(proj), np.finfo(float).tiny)
-    return ChannelEstimate(gains_flat=a_hat, gram=gram, projection=proj,
-                           solver_used=method, residual=float(resid),
-                           solve_info=result)
+    return ChannelEstimate(gains_flat=result.solution, gram=gram, solve_info=result)
 
 
 @dataclass
@@ -188,16 +181,13 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
     the matrix inversion lemma; identical (to rounding) to refitting with
     the period removed, but one Cholesky factorization serves all periods.
     ``chips`` is the (M, N) received array matching the stacked matrix.
+    Raises :class:`RankError` under the same guard as :func:`ml_estimate`.
     """
     m, n = chips.shape
     s = stacked.matrix
     if s.shape[0] != m * n:
         raise ParameterError("stacked matrix does not cover all periods")
-    gram = s.T @ s
-    try:
-        factor = sla.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"Gram matrix is not positive definite: {exc}") from exc
+    factor, _ = cholesky_factor(s.T @ s)
     proj_all = s.T @ chips.reshape(-1)
     base = sla.cho_solve(factor, proj_all, check_finite=False)
     w_all = sla.cho_solve(factor, s.T, check_finite=False)   # (KL, M*N)
@@ -243,10 +233,6 @@ class EstimationStats:
     cross_norm: float             # normalized |cross-cov(da_f, da_n)| trace
     realizations: int
     trials_per_realization: int
-
-    @property
-    def trial_count(self) -> int:
-        return self.realizations * self.trials_per_realization
 
 
 def _complex_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +281,7 @@ def empirical_estimation_stats(config: SystemConfig,
             feedback = sm.corrupt_feedback(symbols, error_rate, rng)
             received = sm.synthesize_received(channel, codes, symbols, config, rng)
             s_true = build_stacked_matrix(codes, symbols.symbols)
-            s_fb = build_stacked_matrix(codes, feedback.decisions, source="feedback")
+            s_fb = build_stacked_matrix(codes, feedback.decisions)
             dec = decompose_error(a, s_true, s_fb, received.noise.reshape(-1), mode=mode)
             fb_parts[j] = dec.feedback_part
             nz_parts[j] = dec.noise_part

@@ -102,14 +102,25 @@ class _Block:
     chips: np.ndarray          # (M, N)
 
 
+def _block_draws(config, trial_tag, b):
+    """Derive block b's stream and draw its channel, then its codes.
+
+    Returns (rng, channel, codes); the stream goes on to the block's symbols
+    and noise.  This is the one place that fixes the per-block draw order,
+    so codes re-derived by :func:`_block_codes` match the synthesized ones.
+    """
+    rng = derive_stream(config.seed, f"{trial_tag}/block", b)
+    channel = sm.generate_channel(config, rng)
+    codes = sm.generate_codes(config, rng)
+    return rng, channel, codes
+
+
 def _draw_blocks(config, n_blocks, data_stream, trial_tag):
     """Generate all coherence blocks of one trial; codes are re-derivable."""
     m_t = config.n_training
     blocks = []
     for b in range(n_blocks):
-        rng = derive_stream(config.seed, f"{trial_tag}/block", b)
-        channel = sm.generate_channel(config, rng)
-        codes = sm.generate_codes(config, rng)
+        rng, channel, codes = _block_draws(config, trial_tag, b)
         symbols = sm.generate_symbols(config, rng)
         span = data_stream[:, b * (config.coherence_time - m_t):
                            (b + 1) * (config.coherence_time - m_t)]
@@ -122,9 +133,7 @@ def _draw_blocks(config, n_blocks, data_stream, trial_tag):
 
 def _block_codes(config, trial_tag, b):
     """Re-derive block b's spreading codes from its stream (not stored)."""
-    rng = derive_stream(config.seed, f"{trial_tag}/block", b)
-    sm.generate_channel(config, rng)
-    return sm.generate_codes(config, rng)
+    return _block_draws(config, trial_tag, b)[2]
 
 
 def run_iterative_receiver(config: SystemConfig,
@@ -175,8 +184,7 @@ def run_iterative_receiver(config: SystemConfig,
             if mode in ("perfect_init", "perfect_csi"):
                 est = blk.channel
             else:
-                stacked = build_stacked_matrix(codes, blk.symbols,
-                                               blocks=train_idx, source="training")
+                stacked = build_stacked_matrix(codes, blk.symbols, blocks=train_idx)
                 received = blk.chips[train_idx].reshape(-1)
                 est = ml_estimate(stacked, received).gains_matrix(ll)
             estimates.append(est)
@@ -205,8 +213,7 @@ def run_iterative_receiver(config: SystemConfig,
                 if mode == "perfect_csi":
                     est = blk.channel
                 else:
-                    stacked = build_stacked_matrix(codes, fb_frame,
-                                                   source="feedback")
+                    stacked = build_stacked_matrix(codes, fb_frame)
                     received = blk.chips.reshape(-1)
                     est = ml_estimate(stacked, received).gains_matrix(ll)
                     mse_acc += np.mean(np.abs(est - blk.channel) ** 2)

@@ -46,7 +46,15 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
         return False
 
 
-def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
+def cholesky_factor(gram: np.ndarray) -> tuple[tuple, float]:
+    """Lower Cholesky factor of a Gram matrix and its 1-norm condition estimate.
+
+    The factor is in :func:`scipy.linalg.cho_factor` form, ready for
+    :func:`scipy.linalg.cho_solve`.  Raises :class:`RankError` when the
+    matrix is not positive definite or its condition estimate exceeds
+    ``CONDITION_LIMIT``; every Cholesky solve in the package goes through
+    this one guard.
+    """
     try:
         factor = sla.cho_factor(gram, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -57,10 +65,15 @@ def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
     if condition > CONDITION_LIMIT:
         raise RankError(
             f"Gram matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}")
+    return factor, float(condition)
+
+
+def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
+    factor, condition = cholesky_factor(gram)
     x = sla.cho_solve(factor, rhs, check_finite=False)
     res = np.linalg.norm(gram @ x - rhs) / max(np.linalg.norm(rhs), np.finfo(float).tiny)
     return SolveResult(solution=x, method="direct", iterations=0, converged=True,
-                       residual=float(res), condition=float(condition))
+                       residual=float(res), condition=condition)
 
 
 def _iterative_solve(gram: np.ndarray, rhs: np.ndarray, method: str,

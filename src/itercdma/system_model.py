@@ -86,10 +86,9 @@ class ReceivedFrame:
 
 @dataclass
 class FeedbackFrame:
-    """Hard decision feedback (K, M) with nominal and realized error rates."""
+    """Hard decision feedback (K, M) with its realized error rate."""
 
     decisions: np.ndarray
-    nominal_error_rate: float
     realized_error_rate: float
 
 
@@ -175,23 +174,19 @@ def synthesize_received(channel: ChannelRealization,
 
 def corrupt_feedback(symbols: SymbolFrame,
                      error_rate: float,
-                     rng: np.random.Generator,
-                     protect_training: bool = True) -> FeedbackFrame:
+                     rng: np.random.Generator) -> FeedbackFrame:
     """Flip each symbol independently with probability ``error_rate``.
 
-    Feedback on training periods is replaced by the known truth when
-    ``protect_training`` is set (the blended estimator treats those periods
-    as error-free).  The realized rate is counted over all K*M symbols.
+    Feedback on training periods is replaced by the known truth (the
+    blended estimator treats those periods as error-free).  The realized
+    rate is counted over all K*M symbols.
     """
     if not 0.0 <= error_rate <= 0.5:
         raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
     flips = rng.random(symbols.symbols.shape) < error_rate
-    if protect_training:
-        flips[:, symbols.training_mask] = False
+    flips[:, symbols.training_mask] = False
     decisions = np.where(flips, -symbols.symbols, symbols.symbols).astype(np.int8)
-    return FeedbackFrame(decisions=decisions,
-                         nominal_error_rate=error_rate,
-                         realized_error_rate=float(np.mean(flips)))
+    return FeedbackFrame(decisions=decisions, realized_error_rate=float(np.mean(flips)))
 
 
 def generate_frame(config: SystemConfig, rng: np.random.Generator) -> FrameRealization:

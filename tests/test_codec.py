@@ -188,6 +188,4 @@ class TestChannelCodec:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             CodecSpec(family="ldpc")
-        with pytest.raises(ParameterError):
-            CodecSpec(rate=0.75)
         assert CodecSpec().digest() != CodecSpec.turbo().digest()

@@ -4,8 +4,8 @@ import pytest
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from itercdma.detector import (hard_decisions, lmmse_detect,
-                               lmmse_detect_frame, matched_filter,
+from itercdma.detector import (hard_decisions, lmmse_detect_frame,
+                               lmmse_llrs, matched_filter,
                                matched_filter_frame, measure_pic_stats,
                                pic_mrc, pic_mrc_frame, qfunc)
 
@@ -80,13 +80,14 @@ class TestLmmse:
         cfg = SystemConfig(n_users=4, spreading_gain=32, n_paths=2,
                            coherence_time=4, noise_var=1e6, seed=6)
         channel, codes, _, _, received = _frame(cfg, 6)
-        det = lmmse_detect(received.chips[0], codes.period(0), channel.gains,
-                           cfg.noise_var)
-        signatures = np.einsum("kl,kln->nk", channel.gains, codes.period(0))
-        mf = signatures.conj().T @ received.chips[0]
-        cosine = np.abs(np.vdot(det.soft, mf)) / (
-            np.linalg.norm(det.soft) * np.linalg.norm(mf))
-        assert cosine == pytest.approx(1.0, abs=1e-4)
+        soft, _ = lmmse_detect_frame(received.chips, codes.codes,
+                                     channel.gains, cfg.noise_var)
+        signatures = np.einsum("kl,mkln->mnk", channel.gains, codes.codes)
+        mf = np.einsum("mnk,mn->mk", signatures.conj(), received.chips)
+        for t in range(cfg.coherence_time):
+            cosine = np.abs(np.vdot(soft[t], mf[t])) / (
+                np.linalg.norm(soft[t]) * np.linalg.norm(mf[t]))
+            assert cosine == pytest.approx(1.0, abs=1e-4)
 
     def test_output_sinr_tracks_large_system_fixed_point(self):
         # equal-power oracle: s solves s = P/(noise + beta*P/(1+s)), with
@@ -108,10 +109,10 @@ class TestLmmse:
         cfg = SystemConfig(n_users=3, spreading_gain=16, n_paths=2,
                            coherence_time=4, noise_var=0.3, seed=8)
         channel, codes, _, _, received = _frame(cfg, 8)
-        det = lmmse_detect(received.chips[1], codes.period(1), channel.gains,
-                           0.3)
-        np.testing.assert_array_equal(np.sign(det.llrs()),
-                                      np.sign(det.soft.real))
+        soft, bias = lmmse_detect_frame(received.chips, codes.codes,
+                                        channel.gains, 0.3)
+        np.testing.assert_array_equal(np.sign(lmmse_llrs(soft, bias)),
+                                      np.sign(soft.real))
 
     def test_singular_covariance_falls_back_with_warning(self):
         # one user, no noise: rank-one covariance triggers the ridge
@@ -119,9 +120,9 @@ class TestLmmse:
                            coherence_time=2, noise_var=0.0, seed=18)
         channel, codes, _, _, received = _frame(cfg, 18)
         with pytest.warns(RuntimeWarning, match="ridge"):
-            det = lmmse_detect(received.chips[0], codes.period(0),
-                               channel.gains, 0.0)
-        assert np.isfinite(det.soft).all()
+            soft, bias = lmmse_detect_frame(received.chips, codes.codes,
+                                            channel.gains, 0.0)
+        assert np.isfinite(soft).all() and np.isfinite(bias).all()
 
 
 def _tse_hanly_sinrs(powers, noise_var, spreading_gain, iters=500):

@@ -88,7 +88,7 @@ class TestMlEstimate:
         stacked = build_stacked_matrix(codes, symbols.symbols)
         est = ml_estimate(stacked, stack_received(received))
         np.testing.assert_allclose(est.gains_flat, channel.vector, atol=1e-10)
-        assert est.residual < 1e-8
+        assert est.solve_info.residual < 1e-8
 
     def test_gram_diagonal_is_coherence_time(self):
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=2,
@@ -98,7 +98,7 @@ class TestMlEstimate:
                           stack_received(received))
         np.testing.assert_allclose(np.diag(est.gram), 12.0, atol=1e-12)
         # normal-equation orthogonality holds to solver precision
-        assert est.residual < 1e-8
+        assert est.solve_info.residual < 1e-8
 
     def test_single_code_matches_scalar_least_squares(self):
         cfg = SystemConfig(n_users=1, spreading_gain=16, n_paths=1,
@@ -202,6 +202,22 @@ class TestDecomposition:
         fast = leave_one_out_estimates_fast(stacked, received.chips)
         naive = leave_one_out_estimates(codes, feedback.decisions, received)
         np.testing.assert_allclose(fast, naive, atol=1e-9)
+
+    def test_leave_one_out_fast_rejects_ill_conditioned_gram(self):
+        # two nearly collinear path codes put cond(R) near 1e13, past the
+        # limit; the downdated fits must fail exactly as the full fit does
+        rng = derive_stream(17, "collinear", 0)
+        m, n = 6, 16
+        base = (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / np.sqrt(n)
+        near = base + 1e-7 * rng.standard_normal((m, n))
+        codes = sm.SpreadingEnsemble(codes=np.stack([base, near], axis=1)[:, None],
+                                     code_model="independent")
+        stacked = build_stacked_matrix(codes, np.ones((1, m), dtype=np.int8))
+        chips = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        with pytest.raises(RankError, match="condition estimate"):
+            ml_estimate(stacked, chips.reshape(-1))
+        with pytest.raises(RankError, match="condition estimate"):
+            leave_one_out_estimates_fast(stacked, chips)
 
 
 class TestEstimationStats:
