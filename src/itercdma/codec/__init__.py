@@ -43,6 +43,8 @@ class CodecSpec:
             raise ParameterError(f"unknown codec family {self.family!r}")
         if self.codeword_length % 2:
             raise ParameterError("codeword_length must be even at rate 1/2")
+        if self.turbo_iterations < 1:
+            raise ParameterError("turbo_iterations must be at least 1")
 
     @classmethod
     def turbo(cls, **kw) -> "CodecSpec":

@@ -64,6 +64,10 @@ class ConvolutionalCode:
                 self.next_state[state, bit] = reg >> 1
         self.out_signs = (1.0 - 2.0 * out_bits).astype(np.float64)
         self.pred_state, self.pred_bit = _predecessors(self.next_state)
+        # output signs of the branches arriving in each state, per output
+        # stream: (2, 2S) with the arriving branches of state s at 2s, 2s+1
+        self._arrive_signs = np.ascontiguousarray(
+            self.out_signs[self.pred_state, self.pred_bit].reshape(2 * n_states, 2).T)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode batched info bits (B, k) -> coded bits (B, 2*(k+memory))."""
@@ -92,18 +96,21 @@ class ConvolutionalCode:
         if n_info < 1:
             raise ParameterError("codeword shorter than the encoder tail")
 
-        sgn = self.out_signs.reshape(self.n_states * 2, 2)
+        ps, pb = self.pred_state, self.pred_bit
+        # branch[t, b, s, j]: metric of the j-th branch arriving in state s
+        branch = (soft[:, 0::2].T[:, :, None] * self._arrive_signs[0]
+                  + soft[:, 1::2].T[:, :, None] * self._arrive_signs[1]
+                  ).reshape(steps, batch, self.n_states, 2)
         metrics = np.full((batch, self.n_states), _NEG)
         metrics[:, 0] = 0.0
         survivors = np.empty((steps, batch, self.n_states), dtype=np.int8)
-        ps, pb = self.pred_state, self.pred_bit
+        arrive = np.empty((batch, self.n_states, 2))
         for t in range(steps):
-            branch = (soft[:, 2 * t:2 * t + 2] @ sgn.T).reshape(
-                batch, self.n_states, 2)
-            arrive = metrics[:, ps] + branch[:, ps, pb]
-            choice = np.argmax(arrive, axis=2)
-            survivors[t] = choice
-            metrics = np.take_along_axis(arrive, choice[:, :, None], axis=2)[:, :, 0]
+            np.take(metrics, ps, axis=1, out=arrive)
+            arrive += branch[t]
+            # a tie keeps the first branch, as argmax would
+            np.greater(arrive[:, :, 1], arrive[:, :, 0], out=survivors[t])
+            np.maximum(arrive[:, :, 0], arrive[:, :, 1], out=metrics)
 
         bits = np.empty((batch, steps), dtype=np.int8)
         state = np.zeros(batch, dtype=np.int64)   # terminated blocks end in 0

@@ -8,6 +8,14 @@ a length-k info block maps to exactly 2k coded bits; the decoder accounts
 for that with a uniform final-state prior.  Component decoding is exact
 log-MAP (logaddexp recursions), vectorized over the codeword batch.
 
+The forward and backward recursions depend only on the branch metrics, so
+one fused sweep advances both: step r moves alpha_r to alpha_{r+1} and
+beta_{k-r} to beta_{k-1-r} with one gather, one add, one logaddexp and one
+max normalisation over a (B, 2S) row.  Branch metrics come from sign tables,
+a block of time steps at a time, and the posterior LLRs are formed after
+the sweep over the same blocks.  The operands meet in the same order as in
+the textbook two-loop form, so the posteriors are the same bit for bit.
+
 LLR convention throughout: positive means bit 0 / symbol +1.
 """
 
@@ -18,6 +26,8 @@ import numpy as np
 from ..exceptions import ParameterError
 from .convolutional import _NEG, _parity, _predecessors
 from .interleaver import make_permutation
+
+_CHUNK = 64   # time steps per block of gammas and posteriors (cache-sized)
 
 
 class RscCode:
@@ -39,9 +49,21 @@ class RscCode:
                 reg = (d << m) | state
                 self.parity_bits[state, bit] = _parity(self.feedforward & reg)
                 self.next_state[state, bit] = reg >> 1
-        self.parity_signs = (1.0 - 2.0 * self.parity_bits).astype(np.float64)
-        self.input_signs = np.array([1.0, -1.0])
         self.pred_state, self.pred_bit = _predecessors(self.next_state)
+        ps, pb = self.pred_state, self.pred_bit
+        input_signs = np.array([1.0, -1.0])
+        parity_signs = 1.0 - 2.0 * self.parity_bits
+        # Tables of the fused sweep over (alpha states | beta states): each
+        # alpha state reads its two arriving (state, bit) branches, each beta
+        # state the two states its branches lead to.
+        self._sweep_index = np.concatenate((ps, self.next_state + n_states))
+        self._sweep_input_signs = np.stack(
+            (input_signs[pb], np.broadcast_to(input_signs, (n_states, 2))))
+        self._sweep_parity_signs = np.stack((parity_signs[ps, pb], parity_signs))
+        # Tables of the posterior, laid out (bit, state).
+        self._input_signs = input_signs[:, None]
+        self._parity_signs = np.ascontiguousarray(parity_signs.T)
+        self._next_by_bit = np.ascontiguousarray(self.next_state.T)
 
     def encode_parity(self, info_bits: np.ndarray) -> np.ndarray:
         """Parity stream (B, k) for batched info bits (B, k), state starts at 0."""
@@ -64,39 +86,52 @@ class RscCode:
         """
         batch, k = sys_llr.shape
         n_states = self.n_states
-        ps, pb = self.pred_state, self.pred_bit
-        nxt = self.next_state
-
         # gamma[b, t, s, u] = 0.5*(in_sign_u*(Ls+La) + par_sign[s,u]*Lp)
-        in_part = 0.5 * (sys_llr + apriori)                       # (B, k)
-        gamma = (in_part[:, :, None, None] * self.input_signs[None, None, None, :]
-                 + 0.5 * par_llr[:, :, None, None] * self.parity_signs[None, None, :, :])
+        in_part = (0.5 * (sys_llr + apriori)).T                    # (k, B)
+        par_part = (0.5 * par_llr).T
 
-        alpha = np.empty((k + 1, batch, n_states))
-        alpha[0] = _NEG
-        alpha[0, :, 0] = 0.0
-        for t in range(k):
-            cand = alpha[t][:, ps] + gamma[:, t][:, ps, pb]
-            nxt_alpha = np.logaddexp(cand[:, :, 0], cand[:, :, 1])
-            nxt_alpha -= nxt_alpha.max(axis=1, keepdims=True)
-            alpha[t + 1] = nxt_alpha
+        # Row r holds alpha_r in its first half and beta_{k-r} in its second,
+        # so one pass over r advances both recursions; step r reads the
+        # gammas of time r (alpha) and of time k-1-r (beta).
+        sweep = np.empty((k + 1, batch, 2 * n_states))
+        sweep[0] = 0.0
+        sweep[0, :, 1:n_states] = _NEG
+        in_both = np.stack((in_part, in_part[::-1]), axis=2)[..., None, None]
+        par_both = np.stack((par_part, par_part[::-1]), axis=2)[..., None, None]
+        cand = np.empty((batch, 2 * n_states, 2))
+        for start in range(0, k, _CHUNK):
+            stop = min(start + _CHUNK, k)
+            gamma = (in_both[start:stop] * self._sweep_input_signs
+                     + par_both[start:stop] * self._sweep_parity_signs
+                     ).reshape(stop - start, batch, 2 * n_states, 2)
+            for r in range(start, stop):
+                np.take(sweep[r], self._sweep_index, axis=1, out=cand)
+                cand += gamma[r - start]
+                np.logaddexp(cand[:, :, 0], cand[:, :, 1], out=sweep[r + 1])
+                halves = sweep[r + 1].reshape(batch, 2, n_states)
+                halves -= np.maximum.reduce(halves, axis=2, keepdims=True)
 
-        beta = np.zeros((batch, n_states))
+        # posterior[t] = log-sum-exp over branches of alpha_t + gamma_t +
+        # beta_{t+1}, per input bit; the state axis is last and contiguous.
+        alpha = sweep[:k, :, None, :n_states]
+        beta_next = sweep[k - 1::-1, :, n_states:]
         posterior = np.empty((batch, k))
-        for t in range(k - 1, -1, -1):
-            joint = alpha[t][:, :, None] + gamma[:, t] + beta[:, nxt]
-            num0 = _logsumexp(joint[:, :, 0])
-            num1 = _logsumexp(joint[:, :, 1])
-            posterior[:, t] = num0 - num1
-            cand = gamma[:, t] + beta[:, nxt]
-            beta = np.logaddexp(cand[:, :, 0], cand[:, :, 1])
-            beta -= beta.max(axis=1, keepdims=True)
+        for start in range(0, k, _CHUNK):
+            stop = min(start + _CHUNK, k)
+            gamma = (in_part[start:stop, :, None, None] * self._input_signs
+                     + par_part[start:stop, :, None, None] * self._parity_signs)
+            joint = (alpha[start:stop] + gamma
+                     + beta_next[start:stop][:, :, self._next_by_bit])
+            peak = joint.max(axis=3)
+            num = peak + np.log(np.sum(np.exp(joint - peak[..., None]), axis=3))
+            posterior[:, start:stop] = (num[..., 0] - num[..., 1]).T
         return posterior
 
 
-def _logsumexp(values: np.ndarray) -> np.ndarray:
-    peak = values.max(axis=1)
-    return peak + np.log(np.sum(np.exp(values - peak[:, None]), axis=1))
+def _check_iterations(n_iterations: int) -> int:
+    if n_iterations < 1:
+        raise ParameterError(f"turbo iterations must be at least 1, got {n_iterations}")
+    return n_iterations
 
 
 class TurboCode:
@@ -107,7 +142,7 @@ class TurboCode:
         if info_length < 2:
             raise ParameterError("info_length must be at least 2")
         self.info_length = info_length
-        self.n_iterations = n_iterations
+        self.n_iterations = _check_iterations(n_iterations)
         self.rsc = RscCode(*generators)
         self.permutation = make_permutation(info_length, interleaver_seed)
         self.inverse = np.argsort(self.permutation)
@@ -133,7 +168,8 @@ class TurboCode:
         if soft.shape[1] != 2 * self.info_length:
             raise ParameterError(
                 f"soft length {soft.shape[1]} != {2 * self.info_length}")
-        iters = self.n_iterations if n_iterations is None else n_iterations
+        iters = (self.n_iterations if n_iterations is None
+                 else _check_iterations(n_iterations))
         sys_llr = soft[:, 0::2]
         par = soft[:, 1::2]
         lp1 = np.zeros_like(par)
@@ -143,11 +179,10 @@ class TurboCode:
         sys_perm = sys_llr[:, self.permutation]
 
         ext2 = np.zeros_like(sys_llr)       # deinterleaved extrinsic of decoder 2
-        post2 = sys_llr
         for _ in range(iters):
             post1 = self.rsc.bcjr(sys_llr, lp1, ext2)
-            ext1 = post1 - sys_llr - ext2
-            post2 = self.rsc.bcjr(sys_perm, lp2, ext1[:, self.permutation])
-            ext2 = (post2 - sys_perm - ext1[:, self.permutation])[:, self.inverse]
+            ext1 = (post1 - sys_llr - ext2)[:, self.permutation]   # interleaved
+            post2 = self.rsc.bcjr(sys_perm, lp2, ext1)
+            ext2 = (post2 - sys_perm - ext1)[:, self.inverse]
         posterior = post2[:, self.inverse]
         return (posterior < 0).astype(np.int8)

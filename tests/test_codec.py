@@ -2,11 +2,97 @@ import numpy as np
 import pytest
 
 from itercdma.codec import CodecSpec
-from itercdma.codec.convolutional import ConvolutionalCode
+from itercdma.codec.convolutional import _NEG, ConvolutionalCode
 from itercdma.codec.interleaver import (deinterleave, interleave,
                                         make_permutation)
 from itercdma.codec.turbo import RscCode, TurboCode
 from itercdma.exceptions import ParameterError
+
+
+# Reference decoders: the plain per-step recursions the batched decoders
+# must reproduce bit for bit.
+
+def _reference_bcjr(rsc, sys_llr, par_llr, apriori):
+    batch, k = sys_llr.shape
+    ps, pb, nxt = rsc.pred_state, rsc.pred_bit, rsc.next_state
+    input_signs = np.array([1.0, -1.0])
+    parity_signs = (1.0 - 2.0 * rsc.parity_bits).astype(np.float64)
+    in_part = 0.5 * (sys_llr + apriori)
+    gamma = (in_part[:, :, None, None] * input_signs[None, None, None, :]
+             + 0.5 * par_llr[:, :, None, None] * parity_signs[None, None, :, :])
+
+    alpha = np.empty((k + 1, batch, rsc.n_states))
+    alpha[0] = _NEG
+    alpha[0, :, 0] = 0.0
+    for t in range(k):
+        cand = alpha[t][:, ps] + gamma[:, t][:, ps, pb]
+        nxt_alpha = np.logaddexp(cand[:, :, 0], cand[:, :, 1])
+        nxt_alpha -= nxt_alpha.max(axis=1, keepdims=True)
+        alpha[t + 1] = nxt_alpha
+
+    def logsumexp(values):
+        peak = values.max(axis=1)
+        return peak + np.log(np.sum(np.exp(values - peak[:, None]), axis=1))
+
+    beta = np.zeros((batch, rsc.n_states))
+    posterior = np.empty((batch, k))
+    for t in range(k - 1, -1, -1):
+        joint = alpha[t][:, :, None] + gamma[:, t] + beta[:, nxt]
+        posterior[:, t] = logsumexp(joint[:, :, 0]) - logsumexp(joint[:, :, 1])
+        cand = gamma[:, t] + beta[:, nxt]
+        beta = np.logaddexp(cand[:, :, 0], cand[:, :, 1])
+        beta -= beta.max(axis=1, keepdims=True)
+    return posterior
+
+
+def _reference_turbo_decode(turbo, soft, n_iterations):
+    sys_llr = soft[:, 0::2]
+    par = soft[:, 1::2]
+    lp1 = np.zeros_like(par)
+    lp1[:, 0::2] = par[:, 0::2]
+    lp2 = np.zeros_like(par)
+    lp2[:, 1::2] = par[:, 1::2]
+    perm, inv = turbo.permutation, turbo.inverse
+    sys_perm = sys_llr[:, perm]
+    ext2 = np.zeros_like(sys_llr)
+    for _ in range(n_iterations):
+        post1 = _reference_bcjr(turbo.rsc, sys_llr, lp1, ext2)
+        ext1 = post1 - sys_llr - ext2
+        post2 = _reference_bcjr(turbo.rsc, sys_perm, lp2, ext1[:, perm])
+        ext2 = (post2 - sys_perm - ext1[:, perm])[:, inv]
+    return (post2[:, inv] < 0).astype(np.int8)
+
+
+def _reference_viterbi(code, soft):
+    batch, total = soft.shape
+    steps = total // 2
+    sgn = code.out_signs.reshape(code.n_states * 2, 2)
+    metrics = np.full((batch, code.n_states), _NEG)
+    metrics[:, 0] = 0.0
+    survivors = np.empty((steps, batch, code.n_states), dtype=np.int8)
+    ps, pb = code.pred_state, code.pred_bit
+    for t in range(steps):
+        branch = (soft[:, 2 * t:2 * t + 2] @ sgn.T).reshape(batch, code.n_states, 2)
+        arrive = metrics[:, ps] + branch[:, ps, pb]
+        choice = np.argmax(arrive, axis=2)
+        survivors[t] = choice
+        metrics = np.take_along_axis(arrive, choice[:, :, None], axis=2)[:, :, 0]
+    bits = np.empty((batch, steps), dtype=np.int8)
+    state = np.zeros(batch, dtype=np.int64)
+    rows = np.arange(batch)
+    for t in range(steps - 1, -1, -1):
+        pick = survivors[t][rows, state]
+        bits[:, t] = pb[state, pick]
+        state = ps[state, pick]
+    return bits[:, :steps - code.memory]
+
+
+def _noisy_llrs(rng, coded, snr_db):
+    """Channel LLRs of BPSK-mapped coded bits at Es/N0 = snr_db."""
+    noise_var = 10 ** (-snr_db / 10)
+    symbols = 1.0 - 2.0 * coded
+    noisy = symbols + np.sqrt(noise_var / 2) * rng.standard_normal(symbols.shape)
+    return 4.0 * noisy / noise_var
 
 
 class TestConvolutionalCore:
@@ -72,6 +158,19 @@ class TestConvolutionalCore:
         shifted = code.viterbi_decode(noisy * (1.0 - 2.0 * code.encode(shift_info)))
         np.testing.assert_array_equal(shifted, base ^ shift_info)
 
+    @pytest.mark.parametrize("batch", [1, 14])
+    @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 3.0])
+    def test_viterbi_matches_reference(self, batch, snr_db):
+        # rounded and hard-limited inputs make many equal path metrics, so
+        # the tie rule (keep the first arriving branch) is exercised too
+        rng = np.random.default_rng(10 + batch)
+        code = ConvolutionalCode()
+        info = rng.integers(0, 2, size=(batch, 120), dtype=np.int8)
+        llr = _noisy_llrs(rng, code.encode(info), snr_db)
+        for soft in (llr, np.round(llr), np.sign(llr)):
+            np.testing.assert_array_equal(code.viterbi_decode(soft),
+                                          _reference_viterbi(code, soft))
+
 
 class TestTurboCore:
     def test_rsc_parity_is_recursive(self):
@@ -112,6 +211,34 @@ class TestTurboCore:
         one = np.mean(turbo.decode(llr, n_iterations=1) != info)
         many = np.mean(turbo.decode(llr, n_iterations=8) != info)
         assert many < one
+
+    @pytest.mark.parametrize("info_length", [2, 37, 64, 100, 512])
+    @pytest.mark.parametrize("batch", [1, 14])
+    @pytest.mark.parametrize("snr_db", [-2.0, 1.0, 4.0])
+    def test_log_map_matches_reference(self, info_length, batch, snr_db):
+        # 37 and 100 are not multiples of the decoder's block of time steps
+        rng = np.random.default_rng(info_length + batch)
+        turbo = TurboCode(info_length=info_length, interleaver_seed=8)
+        info = rng.integers(0, 2, size=(batch, info_length), dtype=np.int8)
+        soft = _noisy_llrs(rng, turbo.encode(info), snr_db)
+        apriori = 2.0 * rng.standard_normal((batch, info_length))
+        args = (soft[:, 0::2], soft[:, 1::2], apriori)
+        np.testing.assert_array_equal(turbo.rsc.bcjr(*args),
+                                      _reference_bcjr(turbo.rsc, *args))
+        np.testing.assert_array_equal(turbo.decode(soft, n_iterations=3),
+                                      _reference_turbo_decode(turbo, soft, 3))
+
+    @pytest.mark.parametrize("n_iterations", [0, -1])
+    def test_fewer_than_one_iteration_rejected(self, n_iterations):
+        # zero iterations used to de-interleave the never-interleaved
+        # systematic LLRs and return about half the bits wrong
+        turbo = TurboCode(info_length=64)
+        with pytest.raises(ParameterError):
+            turbo.decode(np.full((4, 128), 4.0), n_iterations=n_iterations)
+        with pytest.raises(ParameterError):
+            TurboCode(info_length=64, n_iterations=n_iterations)
+        with pytest.raises(ParameterError):
+            CodecSpec.turbo(turbo_iterations=n_iterations)
 
 
 class TestInterleaver:
