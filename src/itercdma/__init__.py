@@ -8,7 +8,17 @@ The package simulates that loop end to end and carries the matching
 closed-form performance expressions so each stage's Monte Carlo statistics
 can be checked against its large-system prediction, and the whole loop
 against a one-dimensional fixed-point map.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set: the work is many small dense products, Grams 100-300 wide
+and frames 30-100 chips long, where OpenBLAS threads cost more than they
+save.  numpy and scipy each load their own OpenBLAS and read the variable
+then, so it only takes effect when ``itercdma`` is imported before numpy.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -2,7 +2,8 @@
 
 Each subcommand reproduces one experiment family at desk scale and drops
 CSV/JSON results plus a run manifest (configuration hash, master seed,
-package version) into the output directory:
+package version, BLAS thread setting, CPU count and library versions) into
+the output directory:
 
     itercdma fig2        estimation-error variance versus coherence time
     itercdma fig3        detector output statistics and error-rate sweep
@@ -18,11 +19,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, analysis, rmt
 from .codec import CodecSpec, CodedBpskSource, estimate_gcurve, make_codec
@@ -40,6 +44,13 @@ def _write_manifest(outdir: Path, experiment: str, config, seed: int, extra=None
         "version": __version__,
         "master_seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     if config is not None:
         manifest["config"] = dataclasses.asdict(config)

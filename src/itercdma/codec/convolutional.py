@@ -19,6 +19,7 @@ import numpy as np
 from ..exceptions import ParameterError
 
 _NEG = -1e30
+_CHUNK = 64   # trellis steps per block of branch metrics (cache-sized)
 
 
 def _parity(x: int) -> int:
@@ -97,26 +98,31 @@ class ConvolutionalCode:
             raise ParameterError("codeword shorter than the encoder tail")
 
         ps, pb = self.pred_state, self.pred_bit
-        # branch[t, b, s, j]: metric of the j-th branch arriving in state s
-        branch = (soft[:, 0::2].T[:, :, None] * self._arrive_signs[0]
-                  + soft[:, 1::2].T[:, :, None] * self._arrive_signs[1]
-                  ).reshape(steps, batch, self.n_states, 2)
         metrics = np.full((batch, self.n_states), _NEG)
         metrics[:, 0] = 0.0
         survivors = np.empty((steps, batch, self.n_states), dtype=np.int8)
         arrive = np.empty((batch, self.n_states, 2))
-        for t in range(steps):
-            np.take(metrics, ps, axis=1, out=arrive)
-            arrive += branch[t]
-            # a tie keeps the first branch, as argmax would
-            np.greater(arrive[:, :, 1], arrive[:, :, 0], out=survivors[t])
-            np.maximum(arrive[:, :, 0], arrive[:, :, 1], out=metrics)
+        for start in range(0, steps, _CHUNK):
+            stop = min(start + _CHUNK, steps)
+            # branch[t, b, s, j]: metric of the j-th branch arriving in state s
+            branch = (soft[:, 2 * start:2 * stop:2].T[:, :, None] * self._arrive_signs[0]
+                      + soft[:, 2 * start + 1:2 * stop:2].T[:, :, None] * self._arrive_signs[1]
+                      ).reshape(stop - start, batch, self.n_states, 2)
+            for t in range(start, stop):
+                np.take(metrics, ps, axis=1, out=arrive)
+                arrive += branch[t - start]
+                # a tie keeps the first branch, as argmax would
+                np.greater(arrive[:, :, 1], arrive[:, :, 0], out=survivors[t])
+                np.maximum(arrive[:, :, 0], arrive[:, :, 1], out=metrics)
 
+        # flat indices: survivor of (b, s) at b*S + s, branch j of state s at 2s + j
+        flat_survivors = survivors.reshape(steps, batch * self.n_states)
+        offsets = np.arange(batch) * self.n_states
+        ps_flat, pb_flat = ps.ravel(), pb.ravel()
         bits = np.empty((batch, steps), dtype=np.int8)
         state = np.zeros(batch, dtype=np.int64)   # terminated blocks end in 0
-        rows = np.arange(batch)
         for t in range(steps - 1, -1, -1):
-            pick = survivors[t][rows, state]
-            bits[:, t] = pb[state, pick]
-            state = ps[state, pick]
+            branch = 2 * state + flat_survivors[t].take(offsets + state)
+            bits[:, t] = pb_flat.take(branch)
+            state = ps_flat.take(branch)
         return bits[:, :n_info]

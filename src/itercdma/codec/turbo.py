@@ -24,10 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError
-from .convolutional import _NEG, _parity, _predecessors
+from .convolutional import _CHUNK, _NEG, _parity, _predecessors
 from .interleaver import make_permutation
-
-_CHUNK = 64   # time steps per block of gammas and posteriors (cache-sized)
 
 
 class RscCode:
@@ -92,8 +90,9 @@ class RscCode:
 
         # Row r holds alpha_r in its first half and beta_{k-r} in its second,
         # so one pass over r advances both recursions; step r reads the
-        # gammas of time r (alpha) and of time k-1-r (beta).
-        sweep = np.empty((k + 1, batch, 2 * n_states))
+        # gammas of time r (alpha) and of time k-1-r (beta).  The posterior
+        # reads rows 0..k-1 only, so the sweep stops before alpha_k and beta_0.
+        sweep = np.empty((k, batch, 2 * n_states))
         sweep[0] = 0.0
         sweep[0, :, 1:n_states] = _NEG
         in_both = np.stack((in_part, in_part[::-1]), axis=2)[..., None, None]
@@ -104,7 +103,7 @@ class RscCode:
             gamma = (in_both[start:stop] * self._sweep_input_signs
                      + par_both[start:stop] * self._sweep_parity_signs
                      ).reshape(stop - start, batch, 2 * n_states, 2)
-            for r in range(start, stop):
+            for r in range(start, min(stop, k - 1)):
                 np.take(sweep[r], self._sweep_index, axis=1, out=cand)
                 cand += gamma[r - start]
                 np.logaddexp(cand[:, :, 0], cand[:, :, 1], out=sweep[r + 1])
@@ -113,8 +112,8 @@ class RscCode:
 
         # posterior[t] = log-sum-exp over branches of alpha_t + gamma_t +
         # beta_{t+1}, per input bit; the state axis is last and contiguous.
-        alpha = sweep[:k, :, None, :n_states]
-        beta_next = sweep[k - 1::-1, :, n_states:]
+        alpha = sweep[:, :, None, :n_states]
+        beta_next = sweep[::-1, :, n_states:]
         posterior = np.empty((batch, k))
         for start in range(0, k, _CHUNK):
             stop = min(start + _CHUNK, k)

@@ -30,6 +30,7 @@ from .config import SystemConfig, derive_stream
 from .estimator import (build_stacked_matrix, leave_one_out_estimates_fast,
                         ml_estimate, stack_received)
 from .exceptions import ParameterError
+from .solvers import _real_matmul
 from . import system_model as sm
 
 
@@ -50,7 +51,8 @@ def hard_decisions(combined: np.ndarray) -> np.ndarray:
 
 def matched_filter_frame(chips: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Matched-filter a whole frame at once: (M, N) x (M, K, L, N) -> (M, K, L)."""
-    return np.einsum("mkln,mn->mkl", codes, chips, optimize=True)
+    m, k, l, n = codes.shape
+    return _real_matmul(codes.reshape(m, k * l, n), chips[..., None]).reshape(m, k, l)
 
 
 def lmmse_detect_frame(chips: np.ndarray, codes: np.ndarray,
@@ -118,19 +120,20 @@ def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
     period by period.
     """
     m, k, l, n = codes.shape
+    flat = codes.reshape(m, k * l, n)
     est = np.broadcast_to(est_gains, (m, k, l)) if est_gains.ndim == 2 else est_gains
     fb = feedback.T.astype(np.float64)                                # (M, K)
     amp = est * fb[:, :, None]
-    recon = np.einsum("mkl,mkln->mn", amp, codes, optimize=True)
-    own_gram = np.einsum("mkln,mkjn->mklj", codes, codes, optimize=True)
-    full_proj = np.einsum("mkln,mn->mkl", codes, recon, optimize=True)
-    own_proj = np.einsum("mklj,mkj->mkl", own_gram, amp, optimize=True)
+    recon = _real_matmul(flat.transpose(0, 2, 1), amp.reshape(m, k * l, 1))  # (M, N, 1)
+    own_gram = codes @ codes.transpose(0, 1, 3, 2)                    # (M, K, L, L)
+    full_proj = _real_matmul(flat, recon).reshape(m, k, l)
+    own_proj = _real_matmul(own_gram, amp[..., None])[..., 0]
     cleaned = mf - (full_proj - own_proj)
-    combined = np.einsum("mkl,mkl->mk", est.conj(), cleaned, optimize=True)
+    combined = np.sum(est.conj() * cleaned, axis=2)
     residual = crosstalk = None
     if true_gains is not None and true_symbols is not None:
         sym = true_symbols.T.astype(np.float64)                       # (M, K)
-        own_true = np.einsum("mklj,kj->mkl", own_gram, true_gains, optimize=True)
+        own_true = _real_matmul(own_gram, true_gains[..., None])[..., 0]
         crosstalk = sym[:, :, None] * (own_true - true_gains)
         residual = cleaned - true_gains * sym[:, :, None] - crosstalk
     return PicFrameDetection(combined=combined, residual=residual,

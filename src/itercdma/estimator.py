@@ -28,7 +28,8 @@ import scipy.linalg as sla
 
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError, RankError
-from .solvers import SolveResult, cholesky_factor, solve_normal_equations
+from .solvers import (SolveResult, _on_pairs, _real_matmul, cholesky_factor,
+                      solve_normal_equations)
 from . import system_model as sm
 
 
@@ -106,7 +107,7 @@ def ml_estimate(stacked: StackedMatrix,
         raise RankError(
             f"underdetermined system: {s.shape[0]} equations for {s.shape[1]} unknowns")
     gram = s.T @ s
-    proj = s.T @ received_vec
+    proj = _real_matmul(s.T, received_vec)
     result = solve_normal_equations(gram, proj, method=method, tol=tol, max_iter=max_iter)
     return ChannelEstimate(gains_flat=result.solution, gram=gram, solve_info=result)
 
@@ -135,18 +136,13 @@ def decompose_error(gains_flat: np.ndarray,
     if mode not in ("exact", "approx_im"):
         raise ParameterError(f"unknown decomposition mode {mode!r}")
     s_hat = stacked_feedback.matrix
-    delta_chips = (stacked_truth.matrix - s_hat) @ gains_flat
-    proj_fb = s_hat.T @ delta_chips
-    proj_noise = s_hat.T @ noise_vec
+    delta_chips = _real_matmul(stacked_truth.matrix - s_hat, gains_flat)
+    proj = _real_matmul(s_hat.T, np.column_stack([delta_chips, noise_vec]))
     if mode == "exact":
-        gram_hat = s_hat.T @ s_hat
-        sol = solve_normal_equations(gram_hat, np.column_stack([proj_fb, proj_noise]))
-        fb = -sol.solution[:, 0]
-        nz = -sol.solution[:, 1]
+        parts = -solve_normal_equations(s_hat.T @ s_hat, proj).solution
     else:
-        m = stacked_feedback.n_blocks
-        fb = -proj_fb / m
-        nz = -proj_noise / m
+        parts = -proj / stacked_feedback.n_blocks
+    fb, nz = parts[:, 0], parts[:, 1]
     return ErrorDecomposition(total=fb + nz, feedback_part=fb, noise_part=nz, mode=mode)
 
 
@@ -182,24 +178,37 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
     the period removed, but one Cholesky factorization serves all periods.
     ``chips`` is the (M, N) received array matching the stacked matrix.
     Raises :class:`RankError` under the same guard as :func:`ml_estimate`.
+
+    With G = S^T S = L L^T, y = S^T r and S_t, r_t the rows and chips of
+    period t, the estimate without period t is
+
+        G^{-1} (y - S_t^T (r_t - c_t)),  (I - H_t) c_t = S_t G^{-1} y - H_t r_t,
+
+    where H_t = S_t G^{-1} S_t^T = V_t^T V_t comes from the column block
+    V_t of one triangular solve V = L^{-1} S^T.  All periods share one
+    final solve with G.
     """
     m, n = chips.shape
     s = stacked.matrix
     if s.shape[0] != m * n:
         raise ParameterError("stacked matrix does not cover all periods")
+    kl = s.shape[1]
     factor, _ = cholesky_factor(s.T @ s)
-    proj_all = s.T @ chips.reshape(-1)
-    base = sla.cho_solve(factor, proj_all, check_finite=False)
-    w_all = sla.cho_solve(factor, s.T, check_finite=False)   # (KL, M*N)
-    eye = np.eye(n)
-    out = np.empty((m, s.shape[1]), dtype=complex)
-    for t in range(m):
-        rows = s[t * n:(t + 1) * n]                       # period-t block
-        w = w_all[:, t * n:(t + 1) * n]
-        z = base - w @ chips[t]
-        correction = np.linalg.solve(eye - rows @ w, rows @ z)
-        out[t] = z + w @ correction
-    return out
+
+    def gram_solve(rhs):
+        return _on_pairs(lambda pairs: sla.cho_solve(factor, pairs, check_finite=False),
+                         rhs)
+
+    periods = s.reshape(m, n, kl)                                    # S_t
+    proj_all = _real_matmul(s.T, chips.reshape(-1))                  # y
+    base = gram_solve(proj_all)
+    v = sla.solve_triangular(factor[0], s.T, lower=True, check_finite=False)
+    v = v.reshape(kl, m, n).transpose(1, 0, 2)                       # V_t, (M, KL, N)
+    h = v.transpose(0, 2, 1) @ v                                     # H_t, (M, N, N)
+    rhs = _real_matmul(periods, base) - _real_matmul(h, chips[..., None])[..., 0]
+    c = _on_pairs(lambda pairs: np.linalg.solve(np.eye(n) - h, pairs), rhs[..., None])
+    kept = proj_all - _real_matmul(periods.transpose(0, 2, 1), chips[..., None] - c)[..., 0]
+    return gram_solve(kept.T).T
 
 
 def debias_with_truth(estimate: np.ndarray, gains_flat: np.ndarray,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .exceptions import ConfigurationError, ParameterError
+from .solvers import _real_matmul
 
 
 @dataclass
@@ -165,8 +166,9 @@ def synthesize_received(channel: ChannelRealization,
                         config.n_paths, config.spreading_gain):
         raise ConfigurationError("codes do not match the configuration dimensions")
 
-    signal = np.einsum("km,kl,mkln->mn", symbols.symbols.astype(np.float64),
-                       channel.gains, codes.codes, optimize=True)
+    amp = symbols.symbols.T[:, :, None] * channel.gains               # (M, K, L)
+    signal = _real_matmul(codes.codes.reshape(m, k * l, n).transpose(0, 2, 1),
+                          amp.reshape(m, k * l, 1))[..., 0]
     sigma = np.sqrt(config.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     return ReceivedFrame(chips=signal + noise, noise=noise)

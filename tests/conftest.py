@@ -1,3 +1,5 @@
+import itercdma  # noqa: F401  (first, so its BLAS thread policy precedes numpy)
+
 import numpy as np
 import pytest
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     assert manifest["experiment"] == "fig2"
     assert manifest["master_seed"] == 5
     assert "config_hash" in manifest
+    env = manifest["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["numpy"] == np.__version__
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "python", "numpy", "scipy"}
     assert "M=" in capsys.readouterr().out
 
 

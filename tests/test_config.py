@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -53,3 +58,18 @@ def test_stream_derivation_is_deterministic_and_disjoint():
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
     assert not np.allclose(a, d)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_sets_one_blas_thread_unless_user_set(preset, expected):
+    import itercdma
+
+    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(itercdma.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, itercdma; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == expected

@@ -220,6 +220,41 @@ class TestDecomposition:
             leave_one_out_estimates_fast(stacked, chips)
 
 
+class TestComplexReferences:
+    """The real-arithmetic products against their complex-arithmetic definitions."""
+
+    CFG = SystemConfig(n_users=6, spreading_gain=24, n_paths=3, coherence_time=9,
+                       noise_var=0.2, seed=16)
+
+    def test_ml_estimate_matches_complex_lstsq(self):
+        _, codes, _, feedback, received = _frame(self.CFG, 16, 0.1)
+        stacked = build_stacked_matrix(codes, feedback.decisions)
+        chips = stack_received(received)
+        est = ml_estimate(stacked, chips)
+        ref = np.linalg.lstsq(stacked.matrix.astype(complex), chips, rcond=None)[0]
+        np.testing.assert_allclose(est.gains_flat, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx_im"])
+    def test_decompose_error_matches_complex_products(self, mode):
+        channel, codes, symbols, feedback, received = _frame(self.CFG, 16, 0.1)
+        s_true = build_stacked_matrix(codes, symbols.symbols)
+        s_fb = build_stacked_matrix(codes, feedback.decisions)
+        noise = received.noise.reshape(-1)
+        s_hat = s_fb.matrix.astype(complex)
+        proj_fb = s_hat.T @ ((s_true.matrix.astype(complex) - s_hat) @ channel.vector)
+        proj_noise = s_hat.T @ noise
+        if mode == "exact":
+            gram = s_hat.T @ s_hat
+            ref_fb = -np.linalg.solve(gram, proj_fb)
+            ref_noise = -np.linalg.solve(gram, proj_noise)
+        else:
+            ref_fb = -proj_fb / self.CFG.coherence_time
+            ref_noise = -proj_noise / self.CFG.coherence_time
+        dec = decompose_error(channel.vector, s_true, s_fb, noise, mode=mode)
+        np.testing.assert_allclose(dec.feedback_part, ref_fb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dec.noise_part, ref_noise, rtol=0, atol=1e-12)
+
+
 class TestEstimationStats:
     @pytest.fixture(scope="class")
     @staticmethod

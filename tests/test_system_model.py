@@ -126,6 +126,18 @@ class TestReceived:
             expected = syms.symbols[0, t] * ch.gains[0, 0] * codes.codes[t, 0, 0]
             np.testing.assert_allclose(rx.chips[t], expected, atol=1e-14)
 
+    def test_multiuser_multipath_matches_per_period_sum(self):
+        cfg = _cfg(n_users=5, n_paths=3, coherence_time=7, noise_var=0.0)
+        rng = derive_stream(14, "rx", 0)
+        ch = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
+        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        for t in range(cfg.coherence_time):
+            expected = sum(syms.symbols[k, t] * ch.gains[k, l] * codes.codes[t, k, l]
+                           for k in range(cfg.n_users) for l in range(cfg.n_paths))
+            np.testing.assert_allclose(rx.chips[t], expected, rtol=0, atol=1e-12)
+
     def test_noise_power_per_chip(self):
         cfg = _cfg(noise_var=0.5, coherence_time=100, spreading_gain=100)
         rng = derive_stream(12, "rx", 0)
