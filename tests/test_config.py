@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import itercdma
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
 from itercdma.exceptions import ConfigurationError
 
@@ -62,8 +63,6 @@ def test_stream_derivation_is_deterministic_and_disjoint():
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_import_sets_one_blas_thread_unless_user_set(preset, expected):
-    import itercdma
-
     env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
