@@ -4,8 +4,10 @@ import pytest
 from itercdma import analysis
 from itercdma.config import SystemConfig, noise_var_from_snr_db
 from itercdma.exceptions import ConfigurationError, RankError
-from itercdma.pipeline import (capacity_search, codeword_packing,
+from itercdma.pipeline import (MODES, capacity_search, codeword_packing,
                                run_iterative_receiver)
+
+NAN = float("nan")
 
 
 def _cfg(**kw):
@@ -13,6 +15,83 @@ def _cfg(**kw):
                 n_training=2, noise_var=noise_var_from_snr_db(5.0), seed=7)
     base.update(kw)
     return SystemConfig(**base)
+
+
+class _RecordingCodec:
+    """Codec proxy that counts the errors of every decode against its trial's codewords."""
+
+    def __init__(self, codec):
+        self._codec = codec
+        self.codeword_length = codec.codeword_length
+        self.info_length = codec.info_length
+        self.trials = []      # per trial, one (feedback errors, info errors) per decode
+
+    def encode(self, info):
+        coded = self._codec.encode(info)
+        self._sent = (info, coded)
+        self.trials.append([])
+        return coded
+
+    def decode(self, llrs):
+        info_hat, feedback = self._codec.decode(llrs)
+        info, coded = self._sent
+        self.trials[-1].append((int(np.sum(feedback != coded)),
+                                int(np.sum(info_hat != info))))
+        return info_hat, feedback
+
+
+# Golden traces: K=8, N=32, L=5, M=10, M_t=2, 1.5 dB, seed 7, conv codec,
+# 4 iterations, 2 trials, experiment "golden".  Counts are per trial and per
+# decode, so a trial that stops early (its decisions repeated) is shorter.
+GOLDEN = {
+    "iterative": dict(
+        counts=[[(2658, 1866), (2633, 1861), (2633, 1861)],
+                [(2708, 1902), (2675, 1865), (2664, 1856), (2659, 1853),
+                 (2659, 1853)]],
+        est_error_power=[0.9478845795546088, 0.1812465866408764,
+                         0.18225100826215793, 0.1823404929571417,
+                         0.18205728055609474],
+        residual_interference_power=[NAN, 0.7662573065152954,
+                                     0.7612265572639265, 0.7612177571281082,
+                                     0.7603596374677808]),
+    "lmmse_only": dict(
+        counts=[[(2732, 1924)], [(2723, 1961)]],
+        est_error_power=[0.9618806902658372],
+        residual_interference_power=[NAN]),
+    "perfect_init": dict(
+        counts=[[(10, 6), (10, 6)], [(18, 14), (18, 14)]],
+        est_error_power=[NAN] + [0.08006127989059078] * 4,
+        residual_interference_power=[NAN] + [0.6422514938984221] * 4),
+    "perfect_csi": dict(
+        counts=[[(14, 6), (7, 3), (7, 3)], [(0, 0), (0, 0)]],
+        est_error_power=[NAN] * 5,
+        residual_interference_power=[NAN, 0.706264734314743]
+        + [0.7063480723848272] * 3),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_golden_trace(conv_codec, mode):
+    cfg = _cfg(n_users=8, noise_var=noise_var_from_snr_db(1.5))
+    codec = _RecordingCodec(conv_codec)
+    trace = run_iterative_receiver(cfg, codec, iterations=4, trials=2,
+                                   mode=mode, experiment_id="golden")
+    golden = GOLDEN[mode]
+    assert codec.trials == golden["counts"]
+    np.testing.assert_allclose(trace.est_error_power,
+                               golden["est_error_power"], rtol=1e-9)
+    np.testing.assert_allclose(trace.residual_interference_power,
+                               golden["residual_interference_power"], rtol=1e-9)
+    # the trace repeats each trial's last decode through the skipped stages
+    stages = len(trace.feedback_error_rate)
+    filled = np.array([counts + counts[-1:] * (stages - len(counts))
+                       for counts in golden["counts"]])            # (trials, stages, 2)
+    copies = codeword_packing(cfg, conv_codec.codeword_length)[1]
+    n_coded = cfg.n_users * copies * conv_codec.codeword_length
+    n_info = cfg.n_users * copies * conv_codec.info_length
+    np.testing.assert_array_equal(trace.per_trial_feedback * n_coded, filled[..., 0])
+    np.testing.assert_allclose(trace.info_bit_error_rate * n_info,
+                               filled[..., 1].mean(axis=0), rtol=1e-12)
 
 
 class TestPacking:
