@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import DataQualityWarning, ParameterError
+from ..exceptions import ConfigurationError, DataQualityWarning, ParameterError
 
 
 @dataclass
@@ -77,7 +77,7 @@ class GCurve:
         label = ""
         xs, pes, ber = [], [], []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -87,11 +87,17 @@ class GCurve:
                     continue
                 if line.startswith("x,"):
                     continue
-                parts = line.split(",")
-                xs.append(float(parts[0]))
-                pes.append(float(parts[1]))
-                if len(parts) > 2:
-                    ber.append(float(parts[2]))
+                try:
+                    x, pe, *rest = (float(cell) for cell in line.split(","))
+                except ValueError:        # a non-number, or fewer than two cells
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: expected 'x,pe[,info_ber]', got {line!r}"
+                    ) from None
+                xs.append(x)
+                pes.append(pe)
+                ber.extend(rest[:1])
+        if not xs:
+            raise ConfigurationError(f"{path}: no curve points")
         return cls(xs=np.array(xs), pes=np.array(pes), label=label,
                    info_ber=np.array(ber) if ber else None)
 

@@ -99,7 +99,12 @@ class SystemConfig:
             key, val = key.strip(), val.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _FIELD_TYPES[key](val)
+            try:
+                values[key] = _FIELD_TYPES[key](val)
+            except ValueError:
+                kind = _FIELD_TYPES[key].__name__
+                raise ConfigurationError(
+                    f"line {lineno}: {key} expects {kind}, got {val!r}") from None
         missing = [k for k in ("n_users", "spreading_gain") if k not in values]
         if missing:
             raise ConfigurationError(f"missing required keys: {missing}")
@@ -112,7 +117,11 @@ class SystemConfig:
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
         with open(path) as fh:
-            return cls.from_text(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_text(text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def digest(self) -> str:
         """Stable short hash of the full configuration."""

@@ -27,8 +27,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .config import SystemConfig, derive_stream
-from .estimator import (build_stacked_matrix, leave_one_out_estimates_fast,
-                        ml_estimate, stack_received)
+from .estimator import build_stacked_matrix, leave_one_out_estimates_fast, ml_estimate
 from .exceptions import ParameterError
 from .solvers import _real_matmul
 from . import system_model as sm
@@ -37,16 +36,6 @@ from . import system_model as sm
 def qfunc(x):
     """Gaussian tail probability Q(x)."""
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
-
-
-def matched_filter(chips: np.ndarray, codes_period: np.ndarray) -> np.ndarray:
-    """Correlate one period's chips (N,) against every code, -> (K, L)."""
-    return codes_period @ chips
-
-
-def hard_decisions(combined: np.ndarray) -> np.ndarray:
-    """Sign of the real part; MRC aligns phase so Im carries only noise."""
-    return np.where(combined.real >= 0, 1, -1).astype(np.int8)
 
 
 def matched_filter_frame(chips: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -66,8 +55,10 @@ def lmmse_detect_frame(chips: np.ndarray, codes: np.ndarray,
     tiny diagonal ridge with a warning.  Returns (soft, bias), each (M, K),
     with E{soft_k | b_k} = bias_k * b_k under the model.
     """
-    m, k, l, n = codes.shape
-    signatures = np.einsum("kl,mkln->mnk", gains, codes, optimize=True)
+    n = codes.shape[-1]
+    # rows[m, k] = h_k of period m; the (M, N, K) signature matrices are its transpose
+    rows = _real_matmul(codes.transpose(0, 1, 3, 2), gains[..., None])[..., 0]
+    signatures = rows.transpose(0, 2, 1)
     cov = signatures @ signatures.conj().transpose(0, 2, 1)
     cov[:, np.arange(n), np.arange(n)] += noise_var
     try:
@@ -77,8 +68,8 @@ def lmmse_detect_frame(chips: np.ndarray, codes: np.ndarray,
                       RuntimeWarning, stacklevel=2)
         cov[:, np.arange(n), np.arange(n)] += 1e-12
         flt = np.linalg.solve(cov, signatures)
-    soft = np.einsum("mnk,mn->mk", flt.conj(), chips, optimize=True)
-    bias = np.real(np.einsum("mnk,mnk->mk", signatures.conj(), flt))
+    soft = (chips[:, None, :] @ flt.conj())[:, 0]
+    bias = (rows.conj()[:, :, None, :] @ flt.transpose(0, 2, 1)[..., None])[..., 0, 0].real
     return soft, bias
 
 
@@ -92,32 +83,29 @@ def lmmse_llrs(soft: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PicDetection:
-    """PIC + MRC outputs for one symbol period."""
-
-    combined: np.ndarray                  # (K,) complex MRC statistics
-    cleaned: np.ndarray                   # (K, L) per-path signals after PIC
-    residual: np.ndarray | None = None    # (K, L) cross-user residual + noise
-    self_crosstalk: np.ndarray | None = None  # (K, L) own-path leakage
-
-
-@dataclass
 class PicFrameDetection:
     """PIC + MRC outputs for all periods of one frame (leading axis M)."""
 
-    combined: np.ndarray                  # (M, K)
-    residual: np.ndarray | None = None    # (M, K, L)
-    self_crosstalk: np.ndarray | None = None
+    combined: np.ndarray                  # (M, K) complex MRC statistics
+    residual: np.ndarray | None = None    # (M, K, L) cross-user residual + noise
+    self_crosstalk: np.ndarray | None = None  # (M, K, L) own-path leakage
 
 
 def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
                   feedback: np.ndarray, true_gains: np.ndarray | None = None,
                   true_symbols: np.ndarray | None = None) -> PicFrameDetection:
-    """Batched PIC + MRC over a frame.
+    """Cancel all other users' reconstructed signals, then MRC per user.
 
-    ``mf`` is (M, K, L); ``est_gains`` is (K, L) or per-period (M, K, L);
-    ``feedback``/``true_symbols`` are (K, M).  Matches :func:`pic_mrc`
-    period by period.
+    ``mf`` is the (M, K, L) matched-filter output; ``est_gains`` is (K, L)
+    or per-period (M, K, L); ``feedback``/``true_symbols`` are (K, M).
+    Reconstruction uses estimated gain times fed-back symbol, exactly; no
+    partial weighting.  When ``true_gains``/``true_symbols`` are given the
+    per-path residual and the (uncancelled) own-path crosstalk are returned
+    for truth-assisted statistics; the identity
+
+        combined_k = sum_l est*_{kl} (a_kl b_k + crosstalk_kl + residual_kl)
+
+    holds to machine precision in every period.
     """
     m, k, l, n = codes.shape
     flat = codes.reshape(m, k * l, n)
@@ -138,43 +126,6 @@ def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
         residual = cleaned - true_gains * sym[:, :, None] - crosstalk
     return PicFrameDetection(combined=combined, residual=residual,
                              self_crosstalk=crosstalk)
-
-
-def pic_mrc(mf_outputs: np.ndarray,
-            codes_period: np.ndarray,
-            est_gains: np.ndarray,
-            feedback_symbols: np.ndarray,
-            true_gains: np.ndarray | None = None,
-            true_symbols: np.ndarray | None = None) -> PicDetection:
-    """Cancel all other users' reconstructed signals, then MRC per user.
-
-    Reconstruction uses estimated gain times fed-back symbol, exactly; no
-    partial weighting.  When ``true_gains``/``true_symbols`` are given the
-    per-path residual and the (uncancelled) own-path crosstalk are returned
-    for truth-assisted statistics; the identity
-
-        combined_k = sum_l est*_{kl} (a_kl b_k + crosstalk_kl + residual_kl)
-
-    holds to machine precision.
-    """
-    k, l, n = codes_period.shape
-    amp = est_gains * feedback_symbols[:, None].astype(np.float64)    # (K, L)
-    recon_chips = np.einsum("kl,kln->n", amp, codes_period)
-    # Own-block code correlations: rho[(k,l),(k,j)] for every user.
-    own_gram = np.einsum("kln,kjn->klj", codes_period, codes_period)
-    full_proj = codes_period @ recon_chips                            # (K, L)
-    own_proj = np.einsum("klj,kj->kl", own_gram, amp)
-    cleaned = mf_outputs - (full_proj - own_proj)
-    combined = np.einsum("kl,kl->k", est_gains.conj(), cleaned)
-
-    residual = crosstalk = None
-    if true_gains is not None and true_symbols is not None:
-        sym = true_symbols.astype(np.float64)
-        own_true = np.einsum("klj,kj->kl", own_gram, true_gains)      # incl. own path
-        crosstalk = sym[:, None] * (own_true - true_gains)            # rho_klkl = 1
-        residual = cleaned - true_gains * sym[:, None] - crosstalk
-    return PicDetection(combined=combined, cleaned=cleaned,
-                        residual=residual, self_crosstalk=crosstalk)
 
 
 @dataclass
@@ -249,8 +200,7 @@ def measure_pic_stats(config: SystemConfig,
                 est = channel.gains
             elif channel_knowledge == "all_periods":
                 stacked = build_stacked_matrix(codes, feedback.decisions)
-                est = ml_estimate(stacked, stack_received(received)) \
-                    .gains_matrix(ll)
+                est = ml_estimate(stacked, received.chips.reshape(-1)).gains_matrix(ll)
             else:
                 stacked = build_stacked_matrix(codes, feedback.decisions)
                 est = leave_one_out_estimates_fast(
@@ -260,9 +210,7 @@ def measure_pic_stats(config: SystemConfig,
             det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
                                 true_gains=channel.gains,
                                 true_symbols=symbols.symbols)
-            est_b = np.broadcast_to(est, (m, kk, ll)) if est.ndim == 2 else est
-            signal = np.einsum("mkl,kl->mk", est_b.conj(), channel.gains,
-                               optimize=True)
+            signal = np.sum(est.conj() * channel.gains, axis=-1)       # (K,) or (M, K)
             b = symbols.symbols.T.astype(np.float64)                  # (M, K)
             zb[r, f * m:(f + 1) * m] = (det.combined * b).real
             bsign[r, f * m:(f + 1) * m] = symbols.symbols.T

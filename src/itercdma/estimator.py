@@ -71,13 +71,6 @@ def build_stacked_matrix(codes: sm.SpreadingEnsemble,
                          blocks=blocks)
 
 
-def stack_received(received: sm.ReceivedFrame, blocks=None) -> np.ndarray:
-    """Received chips of the selected periods as one long complex vector."""
-    if blocks is None:
-        return received.chips.reshape(-1)
-    return received.chips[np.asarray(blocks, dtype=int)].reshape(-1)
-
-
 @dataclass
 class ChannelEstimate:
     """Least-squares gain estimate, its Gram matrix and the solver's report.
@@ -93,12 +86,8 @@ class ChannelEstimate:
         return self.gains_flat.reshape(-1, n_paths)
 
 
-def ml_estimate(stacked: StackedMatrix,
-                received_vec: np.ndarray,
-                method: str = "direct",
-                tol: float = 1e-10,
-                max_iter: int = 1000) -> ChannelEstimate:
-    """Least-squares channel estimate from a stacked matrix and received vector."""
+def ml_estimate(stacked: StackedMatrix, received_vec: np.ndarray) -> ChannelEstimate:
+    """Least-squares channel estimate by the guarded direct (Cholesky) solve."""
     s = stacked.matrix
     if received_vec.shape[0] != s.shape[0]:
         raise ParameterError(
@@ -108,7 +97,7 @@ def ml_estimate(stacked: StackedMatrix,
             f"underdetermined system: {s.shape[0]} equations for {s.shape[1]} unknowns")
     gram = s.T @ s
     proj = _real_matmul(s.T, received_vec)
-    result = solve_normal_equations(gram, proj, method=method, tol=tol, max_iter=max_iter)
+    result = solve_normal_equations(gram, proj)
     return ChannelEstimate(gains_flat=result.solution, gram=gram, solve_info=result)
 
 
@@ -146,36 +135,15 @@ def decompose_error(gains_flat: np.ndarray,
     return ErrorDecomposition(total=fb + nz, feedback_part=fb, noise_part=nz, mode=mode)
 
 
-def leave_one_out_estimates(codes: sm.SpreadingEnsemble,
-                            symbols: np.ndarray,
-                            received: sm.ReceivedFrame,
-                            method: str = "direct") -> np.ndarray:
-    """Per-period estimates, each excluding that period's own observation.
-
-    Row ``t`` is the estimate a detector at period ``t`` must use under the
-    no-information-reuse rule: feeding the all-periods estimate into the
-    cancellation of period ``t`` correlates the estimation error with that
-    period's feedback error and visibly shrinks the residuals below what
-    the independence-based expressions describe.
-    """
-    m = codes.codes.shape[0]
-    out = np.empty((m, codes.codes.shape[1] * codes.codes.shape[2]), dtype=complex)
-    all_blocks = np.arange(m)
-    for t in range(m):
-        blocks = np.delete(all_blocks, t)
-        stacked = build_stacked_matrix(codes, symbols, blocks=blocks)
-        out[t] = ml_estimate(stacked, stack_received(received, blocks),
-                             method=method).gains_flat
-    return out
-
-
 def leave_one_out_estimates_fast(stacked: StackedMatrix,
                                  chips: np.ndarray) -> np.ndarray:
     """All M leave-one-out estimates from one factorization.
 
-    Downdates the all-periods normal equations by each period's rows via
-    the matrix inversion lemma; identical (to rounding) to refitting with
-    the period removed, but one Cholesky factorization serves all periods.
+    Row ``t`` leaves out period ``t``, as the no-information-reuse rule for a
+    detector at period ``t`` requires.  Downdates the all-periods normal
+    equations by each period's rows via the matrix inversion lemma;
+    identical (to rounding) to refitting with the period removed, but one
+    Cholesky factorization serves all periods.
     ``chips`` is the (M, N) received array matching the stacked matrix.
     Raises :class:`RankError` under the same guard as :func:`ml_estimate`.
 

@@ -3,11 +3,18 @@
 One trial transmits, per user, enough codewords that every coherence block
 carries ``M - M_t`` coded symbols after its ``M_t`` pilots; a seeded
 symbol interleaver inside the codec spreads each codeword over many blocks
-so feedback decisions look independent across periods.  Iteration 0 runs
-training-only estimation and LMMSE detection (or a genie, depending on
-mode); every later iteration re-estimates the channel from the fed-back
-symbols (pilot periods keep their known symbols), cancels interference
-with those decisions, decodes, and re-encodes the fresh decisions.
+so feedback decisions look independent across periods.  The receiver is one
+loop over stages ``d = 0..iterations``: per block, a least-squares channel
+estimate (pilot periods at ``d = 0``, all periods after) or the genie
+channel, then LMMSE at ``d = 0`` or PIC + MRC with the fed-back decisions
+after; then one decode of all codewords, whose re-encoded decisions
+overwrite the data columns of the believed symbols.  A trial whose
+decisions repeat stops, and its later stages repeat its last statistics.
+
+Codes are re-derived from each block's stream at every stage: storing them
+takes ``blocks*M*K*L*N*8`` bytes (23 MB at K=14, N=32, L=5, M=20 and 64
+blocks, about a third of such a run's peak memory), and per-period code
+Grams would take 50 MB more.
 
 Modes
 -----
@@ -95,19 +102,12 @@ def _pic_llrs(combined: np.ndarray, est_gains: np.ndarray, prev_pe: float,
     return 4.0 * gain * combined.real / np.maximum(power * sigma_i, 1e-12)
 
 
-@dataclass
-class _Block:
-    channel: np.ndarray        # (K, L)
-    symbols: np.ndarray        # (K, M) truth, pilots first
-    chips: np.ndarray          # (M, N)
-
-
 def _block_draws(config, trial_tag, b):
     """Derive block b's stream and draw its channel, then its codes.
 
     Returns (rng, channel, codes); the stream goes on to the block's symbols
     and noise.  This is the one place that fixes the per-block draw order,
-    so codes re-derived by :func:`_block_codes` match the synthesized ones.
+    so the codes each stage re-derives match the synthesized ones.
     """
     rng = derive_stream(config.seed, f"{trial_tag}/block", b)
     channel = sm.generate_channel(config, rng)
@@ -115,25 +115,25 @@ def _block_draws(config, trial_tag, b):
     return rng, channel, codes
 
 
-def _draw_blocks(config, n_blocks, data_stream, trial_tag):
-    """Generate all coherence blocks of one trial; codes are re-derivable."""
+def _draw_blocks(config, data, trial_tag):
+    """Synthesize every coherence block of one trial; codes are re-derivable.
+
+    ``data`` holds the (blocks, K, M - M_t) coded symbols.  Returns the
+    stacked (channels (B, K, L), symbols (B, K, M), chips (B, M, N)), with
+    each block's pilots in its first M_t symbol columns.
+    """
     m_t = config.n_training
-    blocks = []
+    n_blocks = len(data)
+    channels = np.empty((n_blocks, config.n_users, config.n_paths), dtype=complex)
+    symbols = np.empty((n_blocks, config.n_users, config.coherence_time), dtype=np.int8)
+    chips = np.empty((n_blocks, config.coherence_time, config.spreading_gain), dtype=complex)
     for b in range(n_blocks):
         rng, channel, codes = _block_draws(config, trial_tag, b)
-        symbols = sm.generate_symbols(config, rng)
-        span = data_stream[:, b * (config.coherence_time - m_t):
-                           (b + 1) * (config.coherence_time - m_t)]
-        symbols.symbols[:, m_t:] = span
-        received = sm.synthesize_received(channel, codes, symbols, config, rng)
-        blocks.append(_Block(channel=channel.gains, symbols=symbols.symbols,
-                             chips=received.chips))
-    return blocks
-
-
-def _block_codes(config, trial_tag, b):
-    """Re-derive block b's spreading codes from its stream (not stored)."""
-    return _block_draws(config, trial_tag, b)[2]
+        frame = sm.generate_symbols(config, rng)
+        frame.symbols[:, m_t:] = data[b]
+        chips[b] = sm.synthesize_received(channel, codes, frame, config, rng).chips
+        channels[b], symbols[b] = channel.gains, frame.symbols
+    return channels, symbols, chips
 
 
 def run_iterative_receiver(config: SystemConfig,
@@ -160,87 +160,60 @@ def run_iterative_receiver(config: SystemConfig,
     kk, ll, m = config.n_users, config.n_paths, config.coherence_time
     m_t = config.n_training
     data_per_block = m - m_t
-    train_idx = np.arange(m_t)
 
-    pe = np.zeros((trials, n_iter + 1))
-    ber = np.zeros((trials, n_iter + 1))
-    dmse = np.full((trials, n_iter + 1), np.nan)
-    sigi = np.full((trials, n_iter + 1), np.nan)
+    stats = np.full((4, trials, n_iter + 1), np.nan)
+    pe, ber, dmse, sigi = stats           # per trial and stage
 
     for t in range(trials):
         trial_tag = f"{experiment_id}/{mode}/trial{t}"
         rng = derive_stream(config.seed, trial_tag, 0)
         info = rng.integers(0, 2, size=(kk * copies, codec.info_length),
                             dtype=np.int8)
-        coded = codec.encode(info)                                   # (K*C, n)
-        data_stream = coded.reshape(kk, copies * codec.codeword_length)
-        blocks = _draw_blocks(config, n_blocks, data_stream, trial_tag)
+        data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
+        channels, symbols, chips = _draw_blocks(config, data, trial_tag)
+        believed = symbols.copy()         # data columns take each decode's feedback
+        llrs = np.empty((kk, n_blocks, data_per_block))
 
-        # ---- initialization stage: training estimate + LMMSE ----
-        estimates = []
-        llr_stream = np.empty_like(data_stream, dtype=np.float64)
-        for b, blk in enumerate(blocks):
-            codes = _block_codes(config, trial_tag, b)
-            if mode in ("perfect_init", "perfect_csi"):
-                est = blk.channel
-            else:
-                stacked = build_stacked_matrix(codes, blk.symbols, blocks=train_idx)
-                received = blk.chips[train_idx].reshape(-1)
-                est = ml_estimate(stacked, received).gains_matrix(ll)
-            estimates.append(est)
-            soft, bias = lmmse_detect_frame(blk.chips[m_t:], codes.codes[m_t:],
-                                            est, config.noise_var)
-            span = slice(b * data_per_block, (b + 1) * data_per_block)
-            llr_stream[:, span] = lmmse_llrs(soft, bias).T
-        if mode not in ("perfect_init", "perfect_csi"):
-            dmse[t, 0] = np.mean([np.mean(np.abs(est - blk.channel) ** 2)
-                                  for est, blk in zip(estimates, blocks)])
-
-        info_hat, feedback = _decode_stream(codec, llr_stream, kk, copies)
-        pe[t, 0] = np.mean(feedback != data_stream)
-        ber[t, 0] = np.mean(info_hat != info)
-
-        # ---- decision-feedback iterations ----
-        for d in range(1, n_iter + 1):
-            prev_feedback = feedback
-            llr_stream = np.empty_like(data_stream, dtype=np.float64)
-            mse_acc, res_acc, res_n = 0.0, 0.0, 0
-            for b, blk in enumerate(blocks):
-                codes = _block_codes(config, trial_tag, b)
-                fb_frame = blk.symbols.copy()
-                fb_frame[:, m_t:] = feedback[:, b * data_per_block:
-                                             (b + 1) * data_per_block]
-                if mode == "perfect_csi":
-                    est = blk.channel
+        for d in range(n_iter + 1):
+            genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
+            periods = np.arange(m_t if d == 0 else m)
+            mse_acc = res_acc = 0.0
+            for b in range(n_blocks):
+                codes = _block_draws(config, trial_tag, b)[2]     # re-derived, not stored
+                data_codes = codes.codes[m_t:]
+                if genie:
+                    est = channels[b]
                 else:
-                    stacked = build_stacked_matrix(codes, fb_frame)
-                    received = blk.chips.reshape(-1)
-                    est = ml_estimate(stacked, received).gains_matrix(ll)
-                    mse_acc += np.mean(np.abs(est - blk.channel) ** 2)
-                mf = matched_filter_frame(blk.chips[m_t:], codes.codes[m_t:])
-                det = pic_mrc_frame(mf, codes.codes[m_t:], est,
-                                    fb_frame[:, m_t:],
-                                    true_gains=blk.channel,
-                                    true_symbols=blk.symbols[:, m_t:])
-                span = slice(b * data_per_block, (b + 1) * data_per_block)
-                llr_stream[:, span] = _pic_llrs(
-                    det.combined, est, pe[t, d - 1], config,
-                    genie_csi=(mode == "perfect_csi")).T
-                res_acc += float(np.sum(np.abs(det.residual) ** 2))
-                res_n += det.residual.size
-            info_hat, feedback = _decode_stream(codec, llr_stream, kk, copies)
-            pe[t, d] = np.mean(feedback != data_stream)
+                    stacked = build_stacked_matrix(codes, believed[b], blocks=periods)
+                    est = ml_estimate(stacked, chips[b, periods].reshape(-1)) \
+                        .gains_matrix(ll)
+                    mse_acc += np.mean(np.abs(est - channels[b]) ** 2)
+                if d == 0:
+                    soft, bias = lmmse_detect_frame(chips[b, m_t:], data_codes,
+                                                    est, config.noise_var)
+                    llrs[:, b] = lmmse_llrs(soft, bias).T
+                else:
+                    mf = matched_filter_frame(chips[b, m_t:], data_codes)
+                    det = pic_mrc_frame(mf, data_codes, est, believed[b, :, m_t:],
+                                        true_gains=channels[b],
+                                        true_symbols=symbols[b, :, m_t:])
+                    llrs[:, b] = _pic_llrs(det.combined, est, pe[t, d - 1],
+                                           config, genie_csi=genie).T
+                    res_acc += float(np.sum(np.abs(det.residual) ** 2))
+            info_hat, feedback = codec.decode(
+                llrs.reshape(kk * copies, codec.codeword_length))
+            feedback = feedback.reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
+            pe[t, d] = np.mean(feedback != data)
             ber[t, d] = np.mean(info_hat != info)
-            if mode != "perfect_csi":
+            if not genie:
                 dmse[t, d] = mse_acc / n_blocks
-            sigi[t, d] = res_acc / res_n
-            if np.array_equal(feedback, prev_feedback):
+            if d > 0:
+                sigi[t, d] = res_acc / (n_blocks * data_per_block * kk * ll)
+            if d > 0 and np.array_equal(feedback, believed[..., m_t:]):
                 # decisions reached a fixed point of the actual system
-                pe[t, d + 1:] = pe[t, d]
-                ber[t, d + 1:] = ber[t, d]
-                dmse[t, d + 1:] = dmse[t, d]
-                sigi[t, d + 1:] = sigi[t, d]
+                stats[:, t, d + 1:] = stats[:, t, d, None]
                 break
+            believed[..., m_t:] = feedback
 
     predicted = None
     if g is not None and n_iter > 0:
@@ -261,13 +234,6 @@ def run_iterative_receiver(config: SystemConfig,
         per_trial_feedback=pe,
         n_trials=trials,
     )
-
-
-def _decode_stream(codec, llr_stream, n_users, copies):
-    n = codec.codeword_length
-    llrs = llr_stream.reshape(n_users * copies, n)
-    info_hat, feedback = codec.decode(llrs)
-    return info_hat, feedback.reshape(n_users, copies * n)
 
 
 @dataclass

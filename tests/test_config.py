@@ -72,3 +72,14 @@ def test_import_sets_one_blas_thread_unless_user_set(preset, expected):
          "import os, itercdma; print(os.environ['OPENBLAS_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == expected
+
+
+def test_config_text_rejects_non_numeric_value(tmp_path):
+    text = "n_users = abc\nspreading_gain = 8\n"
+    with pytest.raises(ConfigurationError, match="line 1: n_users expects int, got 'abc'"):
+        SystemConfig.from_text(text)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="line 1") as info:
+        SystemConfig.from_file(path)
+    assert str(path) in str(info.value)

@@ -4,10 +4,9 @@ import pytest
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from itercdma.detector import (hard_decisions, lmmse_detect_frame,
-                               lmmse_llrs, matched_filter,
+from itercdma.detector import (lmmse_detect_frame, lmmse_llrs,
                                matched_filter_frame, measure_pic_stats,
-                               pic_mrc, pic_mrc_frame, qfunc)
+                               pic_mrc_frame, qfunc)
 
 SNR10 = noise_var_from_snr_db(10.0)
 
@@ -27,9 +26,9 @@ class TestMatchedFilter:
         cfg = SystemConfig(n_users=1, spreading_gain=32, n_paths=1,
                            coherence_time=4, noise_var=0.0, seed=1)
         channel, codes, symbols, _, received = _frame(cfg, 1)
-        y = matched_filter(received.chips[0], codes.period(0))
-        assert y[0, 0] == pytest.approx(channel.gains[0, 0]
-                                        * symbols.symbols[0, 0])
+        y = matched_filter_frame(received.chips, codes.codes)
+        np.testing.assert_allclose(y[:, 0, 0], channel.gains[0, 0] * symbols.symbols[0],
+                                   rtol=1e-12)
 
     def test_pure_noise_projection_variance(self):
         cfg = SystemConfig(n_users=8, spreading_gain=64, n_paths=2,
@@ -38,29 +37,19 @@ class TestMatchedFilter:
         codes = sm.generate_codes(cfg, rng)
         noise = np.sqrt(0.35) * (rng.standard_normal((100, 64))
                                  + 1j * rng.standard_normal((100, 64)))
-        outs = np.concatenate([matched_filter(noise[t], codes.period(t)).ravel()
-                               for t in range(100)])
+        outs = matched_filter_frame(noise, codes.codes)
         assert np.mean(np.abs(outs) ** 2) == pytest.approx(0.7, rel=0.05)
 
     def test_matches_brute_force_dot_products(self):
         cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=3,
                            coherence_time=6, noise_var=0.2, seed=3)
         _, codes, _, _, received = _frame(cfg, 3)
-        t = 2
-        y = matched_filter(received.chips[t], codes.period(t))
-        for k in range(5):
-            for l in range(3):
-                assert y[k, l] == pytest.approx(
-                    np.dot(codes.codes[t, k, l], received.chips[t]))
-
-    def test_frame_variant_agrees(self):
-        cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=3,
-                           coherence_time=6, noise_var=0.2, seed=4)
-        _, codes, _, _, received = _frame(cfg, 4)
-        batched = matched_filter_frame(received.chips, codes.codes)
+        y = matched_filter_frame(received.chips, codes.codes)
         for t in range(6):
-            np.testing.assert_allclose(
-                batched[t], matched_filter(received.chips[t], codes.period(t)))
+            for k in range(5):
+                for l in range(3):
+                    assert y[t, k, l] == pytest.approx(
+                        np.dot(codes.codes[t, k, l], received.chips[t]))
 
 
 class TestLmmse:
@@ -139,21 +128,41 @@ def _tse_hanly_sinrs(powers, noise_var, spreading_gain, iters=500):
     return sinrs
 
 
+def _pic_oracle(chips, codes, est, feedback, true_gains, true_symbols):
+    """PIC + MRC from its definition, chip by chip.
+
+    Per period t and user k: subtract every other user's reconstructed chips
+    b_hat_j sum_l a_hat_jl s_jl(t) from r_t, correlate with each s_kl(t) and
+    combine with a_hat_k*.  The residual is what remains of each correlation
+    after user k's own true chips b_k sum_l a_kl s_kl(t) are taken out too.
+    """
+    m, kk, _, _ = codes.shape
+    est = np.broadcast_to(est, (m,) + true_gains.shape)
+    combined = np.empty((m, kk), dtype=complex)
+    residual = np.empty((m,) + true_gains.shape, dtype=complex)
+    for t in range(m):
+        recon = [feedback[j, t] * est[t, j] @ codes[t, j] for j in range(kk)]
+        for k in range(kk):
+            cleaned = codes[t, k] @ (chips[t] - sum(recon[j] for j in range(kk) if j != k))
+            combined[t, k] = est[t, k].conj() @ cleaned
+            own = true_symbols[k, t] * true_gains[k] @ codes[t, k]
+            residual[t, k] = cleaned - codes[t, k] @ own
+    return combined, residual
+
+
 class TestPic:
     def test_perfect_cancellation_leaves_own_user_terms(self):
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=3,
                            coherence_time=4, noise_var=0.0, seed=9)
         channel, codes, symbols, feedback, received = _frame(cfg, 9, 0.0)
-        t = 0
-        mf = matched_filter(received.chips[t], codes.period(t))
-        det = pic_mrc(mf, codes.period(t), channel.gains,
-                      feedback.decisions[:, t], true_gains=channel.gains,
-                      true_symbols=symbols.symbols[:, t])
+        mf = matched_filter_frame(received.chips, codes.codes)
+        det = pic_mrc_frame(mf, codes.codes, channel.gains, feedback.decisions,
+                            true_gains=channel.gains, true_symbols=symbols.symbols)
         # residual carries nothing: no noise, no feedback error, true gains
         np.testing.assert_allclose(det.residual, 0.0, atol=1e-12)
-        expected = np.einsum("kl,kl->k", channel.gains.conj(),
-                             channel.gains * symbols.symbols[:, t][:, None]
-                             + det.self_crosstalk)
+        expected = np.sum(channel.gains.conj()
+                          * (channel.gains * symbols.symbols.T[:, :, None]
+                             + det.self_crosstalk), axis=2)
         np.testing.assert_allclose(det.combined, expected, atol=1e-12)
 
     def test_accounting_identity(self):
@@ -162,14 +171,12 @@ class TestPic:
                            coherence_time=4, noise_var=0.4, seed=10)
         channel, codes, symbols, feedback, received = _frame(cfg, 10, 0.1)
         est = channel.gains * (0.9 + 0.05j)   # any estimate
-        t = 1
-        mf = matched_filter(received.chips[t], codes.period(t))
-        det = pic_mrc(mf, codes.period(t), est, feedback.decisions[:, t],
-                      true_gains=channel.gains,
-                      true_symbols=symbols.symbols[:, t])
-        rebuilt = np.einsum("kl,kl->k", est.conj(),
-                            channel.gains * symbols.symbols[:, t][:, None]
-                            + det.self_crosstalk + det.residual)
+        mf = matched_filter_frame(received.chips, codes.codes)
+        det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
+                            true_gains=channel.gains, true_symbols=symbols.symbols)
+        rebuilt = np.sum(est.conj()
+                         * (channel.gains * symbols.symbols.T[:, :, None]
+                            + det.self_crosstalk + det.residual), axis=2)
         np.testing.assert_allclose(det.combined, rebuilt, atol=1e-10)
 
     def test_residual_is_noise_when_no_errors(self):
@@ -183,25 +190,23 @@ class TestPic:
         power = np.mean(np.abs(det.residual) ** 2)
         assert power == pytest.approx(0.25, rel=0.1)
 
-    def test_hard_decisions_sign_convention(self):
-        z = np.array([0.3 + 9j, -0.2 + 0.1j, 0.0 - 1j])
-        np.testing.assert_array_equal(hard_decisions(z), [1, -1, 1])
-
-    def test_frame_variant_agrees(self):
+    @pytest.mark.parametrize("per_period", [False, True], ids=["shared", "per_period"])
+    def test_matches_chip_level_oracle(self, per_period):
         cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=2,
                            coherence_time=5, noise_var=0.3, seed=12)
         channel, codes, symbols, feedback, received = _frame(cfg, 12, 0.1)
+        rng = derive_stream(12, "pic-oracle", 0)
+        shape = (5,) + channel.gains.shape if per_period else channel.gains.shape
+        est = channel.gains + 0.1 * (rng.standard_normal(shape)
+                                     + 1j * rng.standard_normal(shape))
         mf = matched_filter_frame(received.chips, codes.codes)
-        batched = pic_mrc_frame(mf, codes.codes, channel.gains,
-                                feedback.decisions, true_gains=channel.gains,
-                                true_symbols=symbols.symbols)
-        for t in range(5):
-            single = pic_mrc(mf[t], codes.period(t), channel.gains,
-                             feedback.decisions[:, t],
-                             true_gains=channel.gains,
-                             true_symbols=symbols.symbols[:, t])
-            np.testing.assert_allclose(single.combined, batched.combined[t])
-            np.testing.assert_allclose(single.residual, batched.residual[t])
+        det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
+                            true_gains=channel.gains, true_symbols=symbols.symbols)
+        combined, residual = _pic_oracle(received.chips, codes.codes, est,
+                                         feedback.decisions, channel.gains,
+                                         symbols.symbols)
+        np.testing.assert_allclose(det.combined, combined, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(det.residual, residual, rtol=0, atol=1e-12)
 
 
 class TestPicStatistics:

@@ -4,7 +4,7 @@ import pytest
 from itercdma.codec import CodedBpskSource, estimate_gcurve
 from itercdma.codec.gcurve import GCurve, isotonic_fit, make_gcurve
 from itercdma.config import derive_stream
-from itercdma.exceptions import DataQualityWarning, ParameterError
+from itercdma.exceptions import ConfigurationError, DataQualityWarning, ParameterError
 
 
 class GenieSource:
@@ -103,3 +103,16 @@ class TestEstimation:
         assert turbo_curve.max_slope > conv_gcurve.max_slope
         # the steep code is better at good qualities, worse at bad ones
         assert turbo_curve(1.05) < conv_gcurve(1.05)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("x,pe\n0.5,0.01\n1.0\n", r"line 3: expected 'x,pe\[,info_ber\]', got '1.0'"),
+    ("x,pe\n0.5,0.01\n1.0,abc\n", r"line 3: .* got '1.0,abc'"),
+    ("# gcurve label=empty\n# no points\n", "no curve points"),
+], ids=["one_column", "non_numeric", "comments_only"])
+def test_malformed_csv_names_file_and_line(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ConfigurationError, match=match) as info:
+        GCurve.load_csv(path)
+    assert str(path) in str(info.value)
