@@ -43,6 +43,8 @@ class _RecordingCodec:
 # Golden traces: K=8, N=32, L=5, M=10, M_t=2, 1.5 dB, seed 7, conv codec,
 # 4 iterations, 2 trials, experiment "golden".  Counts are per trial and per
 # decode, so a trial that stops early (its decisions repeated) is shorter.
+# Keys are receiver modes under independent codes; "shifted" runs the
+# iterative mode on sliding-window codes.
 GOLDEN = {
     "iterative": dict(
         counts=[[(2658, 1866), (2633, 1861), (2633, 1861)],
@@ -67,16 +69,29 @@ GOLDEN = {
         est_error_power=[NAN] * 5,
         residual_interference_power=[NAN, 0.706264734314743]
         + [0.7063480723848272] * 3),
+    "shifted": dict(
+        counts=[[(2758, 1924), (2729, 1915), (2719, 1911), (2719, 1911)],
+                [(2725, 1923), (2701, 1913), (2691, 1907), (2688, 1908),
+                 (2688, 1908)]],
+        est_error_power=[0.9574235598458928, 0.18761137616921195,
+                         0.1882061072955046, 0.18815951446628018,
+                         0.1881698165573118],
+        residual_interference_power=[NAN, 0.772339731137393,
+                                     0.766780914445381, 0.7657764911305178,
+                                     0.7656213579685067]),
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_golden_trace(conv_codec, mode):
-    cfg = _cfg(n_users=8, noise_var=noise_var_from_snr_db(1.5))
+@pytest.mark.parametrize("case", [*MODES, "shifted"])
+def test_golden_trace(conv_codec, case):
+    shifted = case == "shifted"
+    cfg = _cfg(n_users=8, noise_var=noise_var_from_snr_db(1.5),
+               code_model="shifted" if shifted else "independent")
     codec = _RecordingCodec(conv_codec)
     trace = run_iterative_receiver(cfg, codec, iterations=4, trials=2,
-                                   mode=mode, experiment_id="golden")
-    golden = GOLDEN[mode]
+                                   mode="iterative" if shifted else case,
+                                   experiment_id="golden")
+    golden = GOLDEN[case]
     assert codec.trials == golden["counts"]
     np.testing.assert_allclose(trace.est_error_power,
                                golden["est_error_power"], rtol=1e-9)
