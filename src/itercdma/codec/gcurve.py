@@ -76,6 +76,7 @@ class GCurve:
     def load_csv(cls, path) -> "GCurve":
         label = ""
         xs, pes, ber = [], [], []
+        width = 0                         # cells in the first data row
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -93,9 +94,17 @@ class GCurve:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: expected 'x,pe[,info_ber]', got {line!r}"
                     ) from None
+                cells = 2 + len(rest)
+                width = width or cells
+                if cells > 3:
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: {cells} cells, expected 'x,pe[,info_ber]'")
+                if cells != width:
+                    raise ConfigurationError(f"{path}, line {lineno}: {cells} cells, "
+                                             f"but the first data row has {width}")
                 xs.append(x)
                 pes.append(pe)
-                ber.extend(rest[:1])
+                ber.extend(rest)
         if not xs:
             raise ConfigurationError(f"{path}: no curve points")
         return cls(xs=np.array(xs), pes=np.array(pes), label=label,

@@ -206,8 +206,8 @@ def measure_pic_stats(config: SystemConfig,
                 est = leave_one_out_estimates_fast(
                     stacked, received.chips).reshape(m, kk, ll)
 
-            mf = matched_filter_frame(received.chips, codes.codes)
-            det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
+            mf = matched_filter_frame(received.chips, codes)
+            det = pic_mrc_frame(mf, codes, est, feedback.decisions,
                                 true_gains=channel.gains,
                                 true_symbols=symbols.symbols)
             signal = np.sum(est.conj() * channel.gains, axis=-1)       # (K,) or (M, K)

@@ -45,17 +45,17 @@ class StackedMatrix:
         return len(self.blocks)
 
 
-def build_stacked_matrix(codes: sm.SpreadingEnsemble,
+def build_stacked_matrix(codes: np.ndarray,
                          symbols: np.ndarray,
                          blocks=None) -> StackedMatrix:
-    """Stack per-period code matrices with symbol signs applied.
+    """Stack per-period code matrices (M, K, L, N) with symbol signs applied.
 
     ``symbols`` is the (K, M) array of +-1 values actually believed by the
     estimator: true symbols, decision feedback, or a mix.  Column ``i`` of
     the result belongs to user ``i // L``, path ``i % L``; with all M
     periods stacked every column has norm sqrt(M).
     """
-    m, k, l, n = codes.codes.shape
+    m, k, l, n = codes.shape
     symbols = np.asarray(symbols)
     if symbols.shape != (k, m):
         raise ParameterError(f"symbols shape {symbols.shape}, expected {(k, m)}")
@@ -65,7 +65,7 @@ def build_stacked_matrix(codes: sm.SpreadingEnsemble,
         blocks = np.asarray(blocks, dtype=int)
         if blocks.size == 0:
             raise ParameterError("block subset must be nonempty")
-    signed = codes.codes[blocks] * symbols.T[blocks, :, None, None]
+    signed = codes[blocks] * symbols.T[blocks, :, None, None]
     mat = signed.reshape(len(blocks), k * l, n).transpose(0, 2, 1)
     return StackedMatrix(matrix=np.ascontiguousarray(mat.reshape(len(blocks) * n, k * l)),
                          blocks=blocks)
@@ -177,17 +177,6 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
     c = _on_pairs(lambda pairs: np.linalg.solve(np.eye(n) - h, pairs), rhs[..., None])
     kept = proj_all - _real_matmul(periods.transpose(0, 2, 1), chips[..., None] - c)[..., 0]
     return gram_solve(kept.T).T
-
-
-def debias_with_truth(estimate: np.ndarray, gains_flat: np.ndarray,
-                      error_rate: float) -> np.ndarray:
-    """Remove the feedback-induced bias using the true gains.
-
-    The estimate is low by a factor tied to the feedback error rate; adding
-    ``2*Pe*a`` back requires knowing ``a`` itself, which is why no receiver
-    can apply this correction.  Kept for truth-assisted experiments only.
-    """
-    return estimate + 2.0 * error_rate * gains_flat
 
 
 @dataclass

@@ -11,10 +11,12 @@ after; then one decode of all codewords, whose re-encoded decisions
 overwrite the data columns of the believed symbols.  A trial whose
 decisions repeat stops, and its later stages repeat its last statistics.
 
-Codes are re-derived from each block's stream at every stage: storing them
-takes ``blocks*M*K*L*N*8`` bytes (23 MB at K=14, N=32, L=5, M=20 and 64
-blocks, about a third of such a run's peak memory), and per-period code
-Grams would take 50 MB more.
+Each block is drawn once per trial.  Its code signs are kept as int8
+(``blocks*M*K*L*N`` bytes: 2.9 MB at K=14, N=32, L=5, M=20 and 64 blocks),
+and each stage rebuilds one block's float codes at a time.  Running a stage
+over all blocks at once would hold their float codes (23 MB at that size)
+and stacked matrices (23 MB more) together, against a run's peak of
+about 73 MB.
 
 Modes
 -----
@@ -102,38 +104,33 @@ def _pic_llrs(combined: np.ndarray, est_gains: np.ndarray, prev_pe: float,
     return 4.0 * gain * combined.real / np.maximum(power * sigma_i, 1e-12)
 
 
-def _block_draws(config, trial_tag, b):
-    """Derive block b's stream and draw its channel, then its codes.
-
-    Returns (rng, channel, codes); the stream goes on to the block's symbols
-    and noise.  This is the one place that fixes the per-block draw order,
-    so the codes each stage re-derives match the synthesized ones.
-    """
-    rng = derive_stream(config.seed, f"{trial_tag}/block", b)
-    channel = sm.generate_channel(config, rng)
-    codes = sm.generate_codes(config, rng)
-    return rng, channel, codes
-
-
 def _draw_blocks(config, data, trial_tag):
-    """Synthesize every coherence block of one trial; codes are re-derivable.
+    """Draw and synthesize every coherence block of one trial, once.
 
-    ``data`` holds the (blocks, K, M - M_t) coded symbols.  Returns the
-    stacked (channels (B, K, L), symbols (B, K, M), chips (B, M, N)), with
-    each block's pilots in its first M_t symbol columns.
+    ``data`` holds the (blocks, K, M - M_t) coded symbols.  Each block's
+    stream gives its channel, code signs, symbols and noise, in that order.
+    Returns the stacked (channels (B, K, L), symbols (B, K, M), chips
+    (B, M, N), code signs (B, M, K, L, N) int8), with each block's pilots in
+    its first M_t symbol columns.
     """
     m_t = config.n_training
     n_blocks = len(data)
-    channels = np.empty((n_blocks, config.n_users, config.n_paths), dtype=complex)
-    symbols = np.empty((n_blocks, config.n_users, config.coherence_time), dtype=np.int8)
-    chips = np.empty((n_blocks, config.coherence_time, config.spreading_gain), dtype=complex)
+    k, l, m, n = (config.n_users, config.n_paths, config.coherence_time,
+                  config.spreading_gain)
+    channels = np.empty((n_blocks, k, l), dtype=complex)
+    symbols = np.empty((n_blocks, k, m), dtype=np.int8)
+    chips = np.empty((n_blocks, m, n), dtype=complex)
+    signs = np.empty((n_blocks, m, k, l, n), dtype=np.int8)
     for b in range(n_blocks):
-        rng, channel, codes = _block_draws(config, trial_tag, b)
+        rng = derive_stream(config.seed, f"{trial_tag}/block", b)
+        channel = sm.generate_channel(config, rng)
+        signs[b] = sm.generate_code_signs(config, rng)
         frame = sm.generate_symbols(config, rng)
         frame.symbols[:, m_t:] = data[b]
-        chips[b] = sm.synthesize_received(channel, codes, frame, config, rng).chips
+        chips[b] = sm.synthesize_received(channel, sm.codes_from_signs(signs[b]),
+                                          frame, config, rng).chips
         channels[b], symbols[b] = channel.gains, frame.symbols
-    return channels, symbols, chips
+    return channels, symbols, chips, signs
 
 
 def run_iterative_receiver(config: SystemConfig,
@@ -170,7 +167,7 @@ def run_iterative_receiver(config: SystemConfig,
         info = rng.integers(0, 2, size=(kk * copies, codec.info_length),
                             dtype=np.int8)
         data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
-        channels, symbols, chips = _draw_blocks(config, data, trial_tag)
+        channels, symbols, chips, signs = _draw_blocks(config, data, trial_tag)
         believed = symbols.copy()         # data columns take each decode's feedback
         llrs = np.empty((kk, n_blocks, data_per_block))
 
@@ -179,8 +176,8 @@ def run_iterative_receiver(config: SystemConfig,
             periods = np.arange(m_t if d == 0 else m)
             mse_acc = res_acc = 0.0
             for b in range(n_blocks):
-                codes = _block_draws(config, trial_tag, b)[2]     # re-derived, not stored
-                data_codes = codes.codes[m_t:]
+                codes = sm.codes_from_signs(signs[b])
+                data_codes = codes[m_t:]
                 if genie:
                     est = channels[b]
                 else:

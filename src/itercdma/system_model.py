@@ -46,23 +46,6 @@ class ChannelRealization:
 
 
 @dataclass
-class SpreadingEnsemble:
-    """Spreading codes for one block: array of shape (M, K, L, N)."""
-
-    codes: np.ndarray
-    code_model: str
-
-    def period(self, t: int) -> np.ndarray:
-        """Codes of symbol period ``t`` as a (K, L, N) array."""
-        return self.codes[t]
-
-    def flat(self, t: int) -> np.ndarray:
-        """Codes of period ``t`` as a (K*L, N) matrix, user-major rows."""
-        m, k, l, n = self.codes.shape
-        return self.codes[t].reshape(k * l, n)
-
-
-@dataclass
 class SymbolFrame:
     """BPSK channel symbols (K, M) plus the training-period mask (M,).
 
@@ -93,16 +76,6 @@ class FeedbackFrame:
     realized_error_rate: float
 
 
-@dataclass
-class FrameRealization:
-    """Everything drawn for one coherence block."""
-
-    channel: ChannelRealization
-    codes: SpreadingEnsemble
-    symbols: SymbolFrame
-    received: ReceivedFrame
-
-
 def generate_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw i.i.d. circularly symmetric complex Gaussian gains, variance 1/L.
 
@@ -115,25 +88,29 @@ def generate_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelR
     return ChannelRealization(gains=gains)
 
 
-def generate_codes(config: SystemConfig, rng: np.random.Generator) -> SpreadingEnsemble:
-    """Draw +-1/sqrt(N) spreading codes under the configured model.
-
-    Every code vector has exactly unit norm in either model.
-    """
+def generate_code_signs(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw the +-1 chip signs of every code, int8 of shape (M, K, L, N)."""
     m, k, l, n = (config.coherence_time, config.n_users,
                   config.n_paths, config.spreading_gain)
-    amp = 1.0 / np.sqrt(n)
     if config.code_model == "independent":
-        codes = amp * (2.0 * rng.integers(0, 2, size=(m, k, l, n)) - 1.0)
-    else:
-        # One chip stream per user; path/period codes are sliding windows.
-        stream_len = n * m + l - 1
-        streams = amp * (2.0 * rng.integers(0, 2, size=(k, stream_len)) - 1.0)
-        windows = np.lib.stride_tricks.sliding_window_view(streams, n, axis=1)
-        # windows[k, off] = streams[k, off:off+n]; offset of (t, l) is t*N + l
-        t_idx = np.arange(m)[:, None] * n + np.arange(l)[None, :]
-        codes = np.ascontiguousarray(windows[:, t_idx].transpose(1, 0, 2, 3))
-    return SpreadingEnsemble(codes=codes, code_model=config.code_model)
+        return (2 * rng.integers(0, 2, size=(m, k, l, n)) - 1).astype(np.int8)
+    # One chip stream per user; path/period codes are sliding windows.
+    stream_len = n * m + l - 1
+    streams = (2 * rng.integers(0, 2, size=(k, stream_len)) - 1).astype(np.int8)
+    windows = np.lib.stride_tricks.sliding_window_view(streams, n, axis=1)
+    # windows[k, off] = streams[k, off:off+n]; offset of (t, l) is t*N + l
+    t_idx = np.arange(m)[:, None] * n + np.arange(l)[None, :]
+    return np.ascontiguousarray(windows[:, t_idx].transpose(1, 0, 2, 3))
+
+
+def codes_from_signs(signs: np.ndarray) -> np.ndarray:
+    """Spreading codes +-1/sqrt(N) from chip signs (..., N): unit norm each."""
+    return (1.0 / np.sqrt(signs.shape[-1])) * signs
+
+
+def generate_codes(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw spreading codes (M, K, L, N) under the configured model."""
+    return codes_from_signs(generate_code_signs(config, rng))
 
 
 def generate_symbols(config: SystemConfig, rng: np.random.Generator) -> SymbolFrame:
@@ -146,7 +123,7 @@ def generate_symbols(config: SystemConfig, rng: np.random.Generator) -> SymbolFr
 
 
 def synthesize_received(channel: ChannelRealization,
-                        codes: SpreadingEnsemble,
+                        codes: np.ndarray,
                         symbols: SymbolFrame,
                         config: SystemConfig,
                         rng: np.random.Generator) -> ReceivedFrame:
@@ -155,7 +132,7 @@ def synthesize_received(channel: ChannelRealization,
     Noise samples have total variance ``config.noise_var`` per complex chip
     (noise_var/2 in each real dimension).
     """
-    m, k, l, n = codes.codes.shape
+    m, k, l, n = codes.shape
     if channel.gains.shape != (k, l):
         raise ConfigurationError(
             f"channel gains shape {channel.gains.shape} does not match codes {(k, l)}")
@@ -167,7 +144,7 @@ def synthesize_received(channel: ChannelRealization,
         raise ConfigurationError("codes do not match the configuration dimensions")
 
     amp = symbols.symbols.T[:, :, None] * channel.gains               # (M, K, L)
-    signal = _real_matmul(codes.codes.reshape(m, k * l, n).transpose(0, 2, 1),
+    signal = _real_matmul(codes.reshape(m, k * l, n).transpose(0, 2, 1),
                           amp.reshape(m, k * l, 1))[..., 0]
     sigma = np.sqrt(config.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
@@ -190,12 +167,3 @@ def corrupt_feedback(symbols: SymbolFrame,
     decisions = np.where(flips, -symbols.symbols, symbols.symbols).astype(np.int8)
     return FeedbackFrame(decisions=decisions, realized_error_rate=float(np.mean(flips)))
 
-
-def generate_frame(config: SystemConfig, rng: np.random.Generator) -> FrameRealization:
-    """Draw a full coherence block: channel, codes, symbols, received chips."""
-    channel = generate_channel(config, rng)
-    codes = generate_codes(config, rng)
-    symbols = generate_symbols(config, rng)
-    received = synthesize_received(channel, codes, symbols, config, rng)
-    return FrameRealization(channel=channel, codes=codes, symbols=symbols,
-                            received=received)

@@ -26,7 +26,7 @@ class TestMatchedFilter:
         cfg = SystemConfig(n_users=1, spreading_gain=32, n_paths=1,
                            coherence_time=4, noise_var=0.0, seed=1)
         channel, codes, symbols, _, received = _frame(cfg, 1)
-        y = matched_filter_frame(received.chips, codes.codes)
+        y = matched_filter_frame(received.chips, codes)
         np.testing.assert_allclose(y[:, 0, 0], channel.gains[0, 0] * symbols.symbols[0],
                                    rtol=1e-12)
 
@@ -37,19 +37,19 @@ class TestMatchedFilter:
         codes = sm.generate_codes(cfg, rng)
         noise = np.sqrt(0.35) * (rng.standard_normal((100, 64))
                                  + 1j * rng.standard_normal((100, 64)))
-        outs = matched_filter_frame(noise, codes.codes)
+        outs = matched_filter_frame(noise, codes)
         assert np.mean(np.abs(outs) ** 2) == pytest.approx(0.7, rel=0.05)
 
     def test_matches_brute_force_dot_products(self):
         cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=3,
                            coherence_time=6, noise_var=0.2, seed=3)
         _, codes, _, _, received = _frame(cfg, 3)
-        y = matched_filter_frame(received.chips, codes.codes)
+        y = matched_filter_frame(received.chips, codes)
         for t in range(6):
             for k in range(5):
                 for l in range(3):
                     assert y[t, k, l] == pytest.approx(
-                        np.dot(codes.codes[t, k, l], received.chips[t]))
+                        np.dot(codes[t, k, l], received.chips[t]))
 
 
 class TestLmmse:
@@ -57,7 +57,7 @@ class TestLmmse:
         cfg = SystemConfig(n_users=1, spreading_gain=64, n_paths=1,
                            coherence_time=200, noise_var=0.1, seed=5)
         channel, codes, symbols, _, received = _frame(cfg, 5)
-        soft, _ = lmmse_detect_frame(received.chips, codes.codes,
+        soft, _ = lmmse_detect_frame(received.chips, codes,
                                      channel.gains, 0.1)
         rotated = soft[:, 0] * symbols.symbols[0]
         gain = rotated.real.mean()
@@ -69,9 +69,9 @@ class TestLmmse:
         cfg = SystemConfig(n_users=4, spreading_gain=32, n_paths=2,
                            coherence_time=4, noise_var=1e6, seed=6)
         channel, codes, _, _, received = _frame(cfg, 6)
-        soft, _ = lmmse_detect_frame(received.chips, codes.codes,
+        soft, _ = lmmse_detect_frame(received.chips, codes,
                                      channel.gains, cfg.noise_var)
-        signatures = np.einsum("kl,mkln->mnk", channel.gains, codes.codes)
+        signatures = np.einsum("kl,mkln->mnk", channel.gains, codes)
         mf = np.einsum("mnk,mn->mk", signatures.conj(), received.chips)
         for t in range(cfg.coherence_time):
             cosine = np.abs(np.vdot(soft[t], mf[t])) / (
@@ -84,7 +84,7 @@ class TestLmmse:
         cfg = SystemConfig(n_users=32, spreading_gain=64, n_paths=50,
                            coherence_time=60, noise_var=0.1, seed=7)
         channel, codes, symbols, _, received = _frame(cfg, 7)
-        soft, _ = lmmse_detect_frame(received.chips, codes.codes,
+        soft, _ = lmmse_detect_frame(received.chips, codes,
                                      channel.gains, 0.1)
         rotated = soft.T * symbols.symbols
         gains = rotated.real.mean(axis=1)
@@ -98,7 +98,7 @@ class TestLmmse:
         cfg = SystemConfig(n_users=3, spreading_gain=16, n_paths=2,
                            coherence_time=4, noise_var=0.3, seed=8)
         channel, codes, _, _, received = _frame(cfg, 8)
-        soft, bias = lmmse_detect_frame(received.chips, codes.codes,
+        soft, bias = lmmse_detect_frame(received.chips, codes,
                                         channel.gains, 0.3)
         np.testing.assert_array_equal(np.sign(lmmse_llrs(soft, bias)),
                                       np.sign(soft.real))
@@ -109,7 +109,7 @@ class TestLmmse:
                            coherence_time=2, noise_var=0.0, seed=18)
         channel, codes, _, _, received = _frame(cfg, 18)
         with pytest.warns(RuntimeWarning, match="ridge"):
-            soft, bias = lmmse_detect_frame(received.chips, codes.codes,
+            soft, bias = lmmse_detect_frame(received.chips, codes,
                                             channel.gains, 0.0)
         assert np.isfinite(soft).all() and np.isfinite(bias).all()
 
@@ -155,8 +155,8 @@ class TestPic:
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=3,
                            coherence_time=4, noise_var=0.0, seed=9)
         channel, codes, symbols, feedback, received = _frame(cfg, 9, 0.0)
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, channel.gains, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
                             true_gains=channel.gains, true_symbols=symbols.symbols)
         # residual carries nothing: no noise, no feedback error, true gains
         np.testing.assert_allclose(det.residual, 0.0, atol=1e-12)
@@ -171,8 +171,8 @@ class TestPic:
                            coherence_time=4, noise_var=0.4, seed=10)
         channel, codes, symbols, feedback, received = _frame(cfg, 10, 0.1)
         est = channel.gains * (0.9 + 0.05j)   # any estimate
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, est, feedback.decisions,
                             true_gains=channel.gains, true_symbols=symbols.symbols)
         rebuilt = np.sum(est.conj()
                          * (channel.gains * symbols.symbols.T[:, :, None]
@@ -183,8 +183,8 @@ class TestPic:
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=2,
                            coherence_time=50, noise_var=0.25, seed=11)
         channel, codes, symbols, feedback, received = _frame(cfg, 11, 0.0)
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, channel.gains, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
                             true_gains=channel.gains,
                             true_symbols=symbols.symbols)
         power = np.mean(np.abs(det.residual) ** 2)
@@ -199,10 +199,10 @@ class TestPic:
         shape = (5,) + channel.gains.shape if per_period else channel.gains.shape
         est = channel.gains + 0.1 * (rng.standard_normal(shape)
                                      + 1j * rng.standard_normal(shape))
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, est, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, est, feedback.decisions,
                             true_gains=channel.gains, true_symbols=symbols.symbols)
-        combined, residual = _pic_oracle(received.chips, codes.codes, est,
+        combined, residual = _pic_oracle(received.chips, codes, est,
                                          feedback.decisions, channel.gains,
                                          symbols.symbols)
         np.testing.assert_allclose(det.combined, combined, rtol=0, atol=1e-12)
@@ -255,8 +255,8 @@ def test_residual_mean_near_zero():
         symbols = sm.generate_symbols(cfg, rng)
         feedback = sm.corrupt_feedback(symbols, 0.1, rng)
         received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, channel.gains, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
                             true_gains=channel.gains,
                             true_symbols=symbols.symbols)
         resids.append(det.residual.ravel())
@@ -292,8 +292,8 @@ def test_cross_path_residuals_uncorrelated_at_large_gain():
         symbols = sm.generate_symbols(cfg, rng)
         feedback = sm.corrupt_feedback(symbols, 0.1, rng)
         received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(received.chips, codes.codes)
-        det = pic_mrc_frame(mf, codes.codes, channel.gains, feedback.decisions,
+        mf = matched_filter_frame(received.chips, codes)
+        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
                             true_gains=channel.gains,
                             true_symbols=symbols.symbols)
         prods.append((det.residual[:, :, 0]

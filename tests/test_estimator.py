@@ -4,8 +4,8 @@ import pytest
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from itercdma.estimator import (build_stacked_matrix, debias_with_truth,
-                                decompose_error, empirical_estimation_stats,
+from itercdma.estimator import (build_stacked_matrix, decompose_error,
+                                empirical_estimation_stats,
                                 leave_one_out_estimates_fast, ml_estimate)
 from itercdma.exceptions import ParameterError, RankError
 
@@ -24,7 +24,7 @@ def _frame(cfg, seed, error_rate=0.0, tag="est"):
 
 def _refit_leave_one_out(codes, symbols, received):
     """Oracle: per period t, the least-squares refit on every other period."""
-    m = codes.codes.shape[0]
+    m = codes.shape[0]
     out = []
     for t in range(m):
         kept = np.delete(np.arange(m), t)
@@ -41,8 +41,8 @@ class TestStackedMatrix:
         codes = sm.generate_codes(cfg, rng)
         symbols = np.array([[1, -1]], dtype=np.int8)
         stacked = build_stacked_matrix(codes, symbols)
-        np.testing.assert_allclose(stacked.matrix[:8, 0], codes.codes[0, 0, 0])
-        np.testing.assert_allclose(stacked.matrix[8:, 0], -codes.codes[1, 0, 0])
+        np.testing.assert_allclose(stacked.matrix[:8, 0], codes[0, 0, 0])
+        np.testing.assert_allclose(stacked.matrix[8:, 0], -codes[1, 0, 0])
 
     def test_column_norms_sqrt_m(self):
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=3,
@@ -75,7 +75,7 @@ class TestStackedMatrix:
         cols = slice(k_hit * l, (k_hit + 1) * l)
         expected = np.zeros_like(delta)
         expected[rows, cols] = (2 * symbols.symbols[k_hit, m_hit]
-                                * codes.codes[m_hit, k_hit].T)
+                                * codes[m_hit, k_hit].T)
         np.testing.assert_allclose(delta, expected, atol=1e-12)
 
     def test_block_subset_and_empty_subset(self):
@@ -219,8 +219,7 @@ class TestDecomposition:
         m, n = 6, 16
         base = (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / np.sqrt(n)
         near = base + 1e-7 * rng.standard_normal((m, n))
-        codes = sm.SpreadingEnsemble(codes=np.stack([base, near], axis=1)[:, None],
-                                     code_model="independent")
+        codes = np.stack([base, near], axis=1)[:, None]
         stacked = build_stacked_matrix(codes, np.ones((1, m), dtype=np.int8))
         chips = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         with pytest.raises(RankError, match="condition estimate"):
@@ -375,7 +374,7 @@ def test_truth_debias_halves_mse_in_feedback_dominated_regime():
         received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
         est = ml_estimate(build_stacked_matrix(codes, feedback.decisions),
                           received.chips.reshape(-1))
-        better = debias_with_truth(est.gains_flat, channel.vector, pe)
+        better = est.gains_flat + 2.0 * pe * channel.vector
         raw.append(np.mean(np.abs(channel.vector - est.gains_flat) ** 2))
         fixed.append(np.mean(np.abs(channel.vector - better) ** 2))
     assert np.mean(fixed) < 0.5 * np.mean(raw)

@@ -109,7 +109,10 @@ class TestEstimation:
     ("x,pe\n0.5,0.01\n1.0\n", r"line 3: expected 'x,pe\[,info_ber\]', got '1.0'"),
     ("x,pe\n0.5,0.01\n1.0,abc\n", r"line 3: .* got '1.0,abc'"),
     ("# gcurve label=empty\n# no points\n", "no curve points"),
-], ids=["one_column", "non_numeric", "comments_only"])
+    ("x,pe,info_ber\n0.5,0.01,0.001\n1.0,0.1\n2.0,0.3\n",
+     "line 3: 2 cells, but the first data row has 3"),
+    ("x,pe\n0.5,0.01,0.001,0.2\n", "line 2: 4 cells, expected"),
+], ids=["one_column", "non_numeric", "comments_only", "mixed_widths", "four_columns"])
 def test_malformed_csv_names_file_and_line(tmp_path, body, match):
     path = tmp_path / "bad.csv"
     path.write_text(body)

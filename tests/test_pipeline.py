@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from itercdma import analysis
-from itercdma.config import SystemConfig, noise_var_from_snr_db
+from itercdma import analysis, pipeline
+from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
 from itercdma.exceptions import ConfigurationError, RankError
 from itercdma.pipeline import (MODES, capacity_search, codeword_packing,
                                run_iterative_receiver)
@@ -107,6 +107,22 @@ def test_golden_trace(conv_codec, case):
     np.testing.assert_array_equal(trace.per_trial_feedback * n_coded, filled[..., 0])
     np.testing.assert_allclose(trace.info_bit_error_rate * n_info,
                                filled[..., 1].mean(axis=0), rtol=1e-12)
+
+
+def test_each_block_drawn_once_per_trial(conv_codec, monkeypatch):
+    # one stream for the trial's info bits and one per block, however many
+    # stages the loop runs
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_stream(*args)
+
+    monkeypatch.setattr(pipeline, "derive_stream", counting)
+    cfg = _cfg()
+    run_iterative_receiver(cfg, conv_codec, iterations=3, trials=2)
+    n_blocks = codeword_packing(cfg, conv_codec.codeword_length)[0]
+    assert len(calls) == 2 * (n_blocks + 1)
 
 
 class TestPacking:

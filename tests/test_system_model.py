@@ -57,12 +57,12 @@ class TestCodes:
     def test_exact_unit_norm(self, model):
         cfg = _cfg(code_model=model)
         codes = sm.generate_codes(cfg, derive_stream(7, "codes", 0))
-        np.testing.assert_allclose(np.sum(codes.codes ** 2, axis=-1), 1.0,
+        np.testing.assert_allclose(np.sum(codes ** 2, axis=-1), 1.0,
                                    atol=1e-12)
 
     def test_shifted_codes_are_windows_of_one_stream(self):
         cfg = _cfg(n_users=3, n_paths=4, code_model="shifted")
-        c = sm.generate_codes(cfg, derive_stream(8, "codes", 0)).codes
+        c = sm.generate_codes(cfg, derive_stream(8, "codes", 0))
         m, k, l, n = c.shape
         for t in range(m):
             for u in range(k):
@@ -80,7 +80,7 @@ class TestCodes:
         codes = sm.generate_codes(cfg, derive_stream(9, "codes", 0))
         rhos = []
         for t in range(130):
-            flat = codes.flat(t)
+            flat = codes[t].reshape(-1, codes.shape[-1])
             gram = flat @ flat.T
             iu = np.triu_indices(gram.shape[0], k=1)
             rhos.append(gram[iu])
@@ -102,7 +102,7 @@ class TestCodes:
         rng = np.random.default_rng(0)
         prods = []
         for t in range(260):
-            flat = codes.flat(t)
+            flat = codes[t].reshape(-1, codes.shape[-1])
             gram = flat @ flat.T
             rhos = gram[np.triu_indices(gram.shape[0], k=1)]
             order = rng.permutation(len(rhos))
@@ -123,7 +123,7 @@ class TestReceived:
         syms = sm.generate_symbols(cfg, rng)
         rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
         for t in range(cfg.coherence_time):
-            expected = syms.symbols[0, t] * ch.gains[0, 0] * codes.codes[t, 0, 0]
+            expected = syms.symbols[0, t] * ch.gains[0, 0] * codes[t, 0, 0]
             np.testing.assert_allclose(rx.chips[t], expected, atol=1e-14)
 
     def test_multiuser_multipath_matches_per_period_sum(self):
@@ -134,22 +134,29 @@ class TestReceived:
         syms = sm.generate_symbols(cfg, rng)
         rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
         for t in range(cfg.coherence_time):
-            expected = sum(syms.symbols[k, t] * ch.gains[k, l] * codes.codes[t, k, l]
+            expected = sum(syms.symbols[k, t] * ch.gains[k, l] * codes[t, k, l]
                            for k in range(cfg.n_users) for l in range(cfg.n_paths))
             np.testing.assert_allclose(rx.chips[t], expected, rtol=0, atol=1e-12)
 
     def test_noise_power_per_chip(self):
         cfg = _cfg(noise_var=0.5, coherence_time=100, spreading_gain=100)
         rng = derive_stream(12, "rx", 0)
-        frame = sm.generate_frame(cfg, rng)
-        power = np.abs(frame.received.noise) ** 2
+        ch = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
+        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        power = np.abs(rx.noise) ** 2
         assert power.mean() == pytest.approx(0.5, rel=0.05)
 
     def test_noise_circularly_symmetric(self):
         cfg = _cfg(noise_var=1.0, coherence_time=100, spreading_gain=100)
-        frame = sm.generate_frame(cfg, derive_stream(13, "rx", 0))
-        re = frame.received.noise.real.ravel()
-        im = frame.received.noise.imag.ravel()
+        rng = derive_stream(13, "rx", 0)
+        ch = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
+        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        re = rx.noise.real.ravel()
+        im = rx.noise.imag.ravel()
         corr = np.mean(re * im)
         se = np.std(re * im) / np.sqrt(re.size)
         assert abs(corr) < 5 * se
@@ -158,31 +165,40 @@ class TestReceived:
         # full recomputation from stored ingredients
         cfg = _cfg(n_users=5, n_paths=3, noise_var=0.2)
         rng = derive_stream(14, "rx", 0)
-        frame = sm.generate_frame(cfg, rng)
+        ch = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
+        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
         t = 4
-        direct = frame.received.noise[t].copy()
+        direct = rx.noise[t].copy()
         for k in range(cfg.n_users):
             for l in range(cfg.n_paths):
-                direct = direct + (frame.symbols.symbols[k, t]
-                                   * frame.channel.gains[k, l]
-                                   * frame.codes.codes[t, k, l])
-        np.testing.assert_allclose(frame.received.chips[t], direct, atol=1e-12)
+                direct = direct + syms.symbols[k, t] * ch.gains[k, l] * codes[t, k, l]
+        np.testing.assert_allclose(rx.chips[t], direct, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         cfg = _cfg()
         rng = derive_stream(15, "rx", 0)
-        frame = sm.generate_frame(cfg, rng)
+        ch = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
         other = _cfg(n_users=5)
         with pytest.raises(ConfigurationError):
-            sm.synthesize_received(frame.channel, frame.codes, frame.symbols,
-                                   other, rng)
+            sm.synthesize_received(ch, codes, syms, other, rng)
 
     def test_bit_reproducible_from_seed(self):
         cfg = _cfg(noise_var=0.3)
-        f1 = sm.generate_frame(cfg, derive_stream(16, "rx", 7))
-        f2 = sm.generate_frame(cfg, derive_stream(16, "rx", 7))
-        np.testing.assert_array_equal(f1.received.chips, f2.received.chips)
-        np.testing.assert_array_equal(f1.symbols.symbols, f2.symbols.symbols)
+        draws = []
+        for _ in range(2):
+            rng = derive_stream(16, "rx", 7)
+            ch = sm.generate_channel(cfg, rng)
+            codes = sm.generate_codes(cfg, rng)
+            syms = sm.generate_symbols(cfg, rng)
+            rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+            draws.append((rx.chips, syms.symbols))
+        (chips1, syms1), (chips2, syms2) = draws
+        np.testing.assert_array_equal(chips1, chips2)
+        np.testing.assert_array_equal(syms1, syms2)
 
 
 class TestFeedback:
