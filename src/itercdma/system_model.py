@@ -92,11 +92,12 @@ def generate_code_signs(config: SystemConfig, rng: np.random.Generator) -> np.nd
     """Draw the +-1 chip signs of every code, int8 of shape (M, K, L, N)."""
     m, k, l, n = (config.coherence_time, config.n_users,
                   config.n_paths, config.spreading_gain)
+    # cast before the arithmetic, so that only one int64 array is allocated
     if config.code_model == "independent":
-        return (2 * rng.integers(0, 2, size=(m, k, l, n)) - 1).astype(np.int8)
+        return 2 * rng.integers(0, 2, size=(m, k, l, n)).astype(np.int8) - 1
     # One chip stream per user; path/period codes are sliding windows.
     stream_len = n * m + l - 1
-    streams = (2 * rng.integers(0, 2, size=(k, stream_len)) - 1).astype(np.int8)
+    streams = 2 * rng.integers(0, 2, size=(k, stream_len)).astype(np.int8) - 1
     windows = np.lib.stride_tricks.sliding_window_view(streams, n, axis=1)
     # windows[k, off] = streams[k, off:off+n]; offset of (t, l) is t*N + l
     t_idx = np.arange(m)[:, None] * n + np.arange(l)[None, :]
