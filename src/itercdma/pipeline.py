@@ -108,7 +108,7 @@ def _draw_blocks(config, data, trial_tag):
     """Draw and synthesize every coherence block of one trial, once.
 
     ``data`` holds the (blocks, K, M - M_t) coded symbols.  Each block's
-    stream gives its channel, code signs, symbols and noise, in that order.
+    stream gives its channel, codes, symbols and noise, in that order.
     Returns the stacked (channels (B, K, L), symbols (B, K, M), chips
     (B, M, N), code signs (B, M, K, L, N) int8), with each block's pilots in
     its first M_t symbol columns.
@@ -124,11 +124,11 @@ def _draw_blocks(config, data, trial_tag):
     for b in range(n_blocks):
         rng = derive_stream(config.seed, f"{trial_tag}/block", b)
         channel = sm.generate_channel(config, rng)
-        signs[b] = sm.generate_code_signs(config, rng)
+        codes = sm.generate_codes(config, rng)
+        signs[b] = np.sign(codes)
         frame = sm.generate_symbols(config, rng)
         frame.symbols[:, m_t:] = data[b]
-        chips[b] = sm.synthesize_received(channel, sm.codes_from_signs(signs[b]),
-                                          frame, config, rng).chips
+        chips[b] = sm.synthesize_received(channel, codes, frame, config, rng).chips
         channels[b], symbols[b] = channel.gains, frame.symbols
     return channels, symbols, chips, signs
 
