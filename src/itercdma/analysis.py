@@ -348,27 +348,23 @@ def asymptotic_efficiency_from_map(n_paths: float, load: float,
 
 
 def bisect_max_load(feasible, lo: float = 0.05, hi: float = 2.0,
-                    resolution: float = 0.05):
+                    resolution: float = 0.05) -> float:
     """Largest feasible load on a uniform grid, assuming monotone feasibility.
 
-    ``feasible`` maps a load to a boolean.  Returns 0.0 (with no further
+    ``feasible`` maps a load to a boolean; callers that want a record of
+    the probes keep it inside ``feasible``.  Returns 0.0 (with no further
     probing) when even the lowest grid point fails.
     """
     grid = np.arange(lo, hi + resolution / 2, resolution)
     if not feasible(float(grid[0])):
-        return 0.0, [(float(grid[0]), False)]
-    probes = [(float(grid[0]), True)]
+        return 0.0
     lo_i, hi_i = 0, len(grid) - 1
-    ok = feasible(float(grid[hi_i]))
-    probes.append((float(grid[hi_i]), ok))
-    if ok:
-        return float(grid[hi_i]), probes
+    if feasible(float(grid[hi_i])):
+        return float(grid[hi_i])
     while hi_i - lo_i > 1:
         mid = (lo_i + hi_i) // 2
-        ok = feasible(float(grid[mid]))
-        probes.append((float(grid[mid]), ok))
-        if ok:
+        if feasible(float(grid[mid])):
             lo_i = mid
         else:
             hi_i = mid
-    return float(grid[lo_i]), probes
+    return float(grid[lo_i])

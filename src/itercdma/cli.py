@@ -77,9 +77,8 @@ def cmd_fig2(args) -> int:
                        code_model="shifted", seed=20)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    m_values = [int(v) for v in args.coherence_times.split(",")]
     rows = []
-    for m in m_values:
+    for m in args.coherence_times:
         cfg_m = dataclasses.replace(cfg, coherence_time=m)
         stats = empirical_estimation_stats(cfg_m, args.error_rate, args.trials,
                                            realizations=args.realizations)
@@ -97,7 +96,7 @@ def cmd_fig2(args) -> int:
                          "Delta_n_emp", "Delta_n_pred", "bias_emp", "bias_pred"])
         writer.writerows(rows)
     _write_manifest(outdir, "fig2", cfg, cfg.seed,
-                    {"coherence_times": m_values, "trials": args.trials})
+                    {"coherence_times": args.coherence_times, "trials": args.trials})
     return 0
 
 
@@ -108,9 +107,9 @@ def cmd_fig3(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for snr_db in [float(v) for v in args.snrs_db.split(",")]:
+    for snr_db in args.snrs_db:
         cfg_s = dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
-        for pe in [float(v) for v in args.error_rates.split(",")]:
+        for pe in args.error_rates:
             stats = measure_pic_stats(cfg_s, pe, frames=args.frames,
                                       realizations=args.realizations)
             delta_a = analysis.feedback_estimate_variance(
@@ -134,11 +133,7 @@ def cmd_fig3(args) -> int:
 
 
 def _codec_spec(name: str) -> CodecSpec:
-    if name == "conv":
-        return CodecSpec()
-    if name == "turbo":
-        return CodecSpec.turbo()
-    raise SystemExit(f"unknown codec {name!r} (use conv or turbo)")
+    return CodecSpec.turbo() if name == "turbo" else CodecSpec()
 
 
 def cmd_gcurve(args) -> int:
@@ -146,8 +141,8 @@ def cmd_gcurve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     spec = _codec_spec(args.codec)
     codec = make_codec(spec)
-    lo, hi, count = (float(x) for x in args.grid.split(":"))
-    grid = np.linspace(lo, hi, int(count))
+    lo, hi, count = args.grid
+    grid = np.linspace(lo, hi, count)
     rng = derive_stream(args.seed or 0, f"gcurve/{args.codec}", 0)
     curve = estimate_gcurve(CodedBpskSource(codec), grid, rng,
                             target_errors=args.target_errors,
@@ -159,7 +154,7 @@ def cmd_gcurve(args) -> int:
           f"max slope {curve.max_slope:.3f})")
     _write_manifest(outdir, "gcurve", None, args.seed or 0,
                     {"codec": args.codec, "codec_hash": spec.digest(),
-                     "grid": [lo, hi, int(count)]})
+                     "grid": [lo, hi, count]})
     return 0
 
 
@@ -172,14 +167,11 @@ def cmd_capacity(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     codec = make_codec(_codec_spec(args.codec))
     g = GCurve.load_csv(args.gcurve) if args.gcurve else None
-    modes = args.modes.split(",")
     rows = []
-    for m in [int(v) for v in args.coherence_times.split(",")]:
+    for m in args.coherence_times:
         cfg_m = dataclasses.replace(cfg, coherence_time=m,
                                     n_training=max(1, round(cfg.training_fraction * m)))
-        for mode in modes:
-            if mode not in PIPELINE_MODES:
-                raise SystemExit(f"unknown mode {mode!r}")
+        for mode in args.modes:
             result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
                                      g=g, trials=args.trials,
                                      iterations=args.iterations)
@@ -190,7 +182,7 @@ def cmd_capacity(args) -> int:
         writer.writerow(["M", "mode", "beta_max"])
         writer.writerows(rows)
     _write_manifest(outdir, "capacity", cfg, cfg.seed,
-                    {"codec": args.codec, "modes": modes,
+                    {"codec": args.codec, "modes": args.modes,
                      "target_ber": args.target_ber})
     return 0
 
@@ -245,6 +237,32 @@ def cmd_rmt(args) -> int:
     return 0
 
 
+def _list_of(convert):
+    """argparse type: a comma-separated list, each item passed through ``convert``."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
+
+
+def _mode(name: str) -> str:
+    if name not in PIPELINE_MODES:
+        raise ValueError(f"unknown mode {name!r} (choose from {', '.join(PIPELINE_MODES)})")
+    return name
+
+
+def _grid(text: str) -> tuple[float, float, int]:
+    """argparse type: ``lo:hi:count``."""
+    try:
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected lo:hi:count, e.g. 0.2:4.0:16") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="itercdma", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -258,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig2", help="estimation variance vs coherence time")
     common(p)
-    p.add_argument("--coherence-times", default="10,20,30,40,50")
+    p.add_argument("--coherence-times", type=_list_of(int), default="10,20,30,40,50")
     p.add_argument("--error-rate", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--realizations", type=int, default=40)
@@ -266,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig3", help="detector statistics and SER sweep")
     common(p)
-    p.add_argument("--snrs-db", default="10")
-    p.add_argument("--error-rates", default="0.05,0.1")
+    p.add_argument("--snrs-db", type=_list_of(float), default="10")
+    p.add_argument("--error-rates", type=_list_of(float), default="0.05,0.1")
     p.add_argument("--frames", type=int, default=70)
     p.add_argument("--realizations", type=int, default=5)
     p.set_defaults(func=cmd_fig3)
@@ -275,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gcurve", help="estimate the decoder characteristic")
     common(p)
     p.add_argument("--codec", default="conv", choices=("conv", "turbo"))
-    p.add_argument("--grid", default="0.2:4.0:16", help="lo:hi:count of 1/SINR values")
+    p.add_argument("--grid", type=_grid, default="0.2:4.0:16",
+                   help="lo:hi:count of 1/SINR values")
     p.add_argument("--target-errors", type=int, default=100)
     p.add_argument("--max-codewords", type=int, default=400)
     p.set_defaults(func=cmd_gcurve)
@@ -283,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="max-load search per receiver mode")
     common(p)
     p.add_argument("--codec", default="conv", choices=("conv", "turbo"))
-    p.add_argument("--modes", default="iterative,lmmse_only,perfect_init,perfect_csi")
-    p.add_argument("--coherence-times", default="10,20")
+    p.add_argument("--modes", type=_list_of(_mode),
+                   default="iterative,lmmse_only,perfect_init,perfect_csi")
+    p.add_argument("--coherence-times", type=_list_of(int), default="10,20")
     p.add_argument("--target-ber", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--iterations", type=int, default=6)

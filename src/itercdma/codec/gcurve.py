@@ -215,9 +215,10 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
         raise ParameterError("grid abscissas must be positive (x = 1/SINR)")
     pes, weights, bers = [], [], []
     for x in grid:
-        sym_err = sym_tot = inf_err = inf_tot = 0
-        while sym_err < target_errors and sym_tot < max_codewords * _cw_len(source):
+        sym_err = sym_tot = inf_err = inf_tot = sent = 0
+        while sym_err < target_errors and sent < max_codewords:
             se, st, ie, it = source.measure(float(x), batch, rng)
+            sent += batch
             sym_err += se
             sym_tot += st
             inf_err += ie
@@ -227,9 +228,3 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
         bers.append(inf_err / inf_tot)
     return make_gcurve(grid, pes, weights=weights, label=label, info_ber=bers)
 
-
-def _cw_len(source) -> int:
-    codec = getattr(source, "codec", None)
-    if codec is not None:
-        return codec.codeword_length
-    return 1024

@@ -9,7 +9,7 @@ crosstalk (a user's paths leaking into each other) is deliberately not
 cancelled: it vanishes with the spreading gain and keeping it in the signal
 keeps the simulator faithful; the analytic output model simply omits it.
 
-When truth is available the per-path residual
+With the true gains and symbols the per-path residual
 
     I_{kl} = cleaned_{kl} - a_{kl} b_k - (own-path crosstalk)
 
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .config import SystemConfig, derive_stream
-from .estimator import build_stacked_matrix, leave_one_out_estimates_fast, ml_estimate
+from .estimator import build_stacked_matrix, leave_one_out_estimates_fast
 from .exceptions import ParameterError
 from .solvers import _real_matmul
 from . import system_model as sm
@@ -86,22 +86,23 @@ def lmmse_llrs(soft: np.ndarray, bias: np.ndarray) -> np.ndarray:
 class PicFrameDetection:
     """PIC + MRC outputs for all periods of one frame (leading axis M)."""
 
-    combined: np.ndarray                  # (M, K) complex MRC statistics
-    residual: np.ndarray | None = None    # (M, K, L) cross-user residual + noise
-    self_crosstalk: np.ndarray | None = None  # (M, K, L) own-path leakage
+    combined: np.ndarray          # (M, K) complex MRC statistics
+    residual: np.ndarray          # (M, K, L) cross-user residual + noise
+    self_crosstalk: np.ndarray    # (M, K, L) own-path leakage
 
 
 def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
-                  feedback: np.ndarray, true_gains: np.ndarray | None = None,
-                  true_symbols: np.ndarray | None = None) -> PicFrameDetection:
+                  feedback: np.ndarray, true_gains: np.ndarray,
+                  true_symbols: np.ndarray) -> PicFrameDetection:
     """Cancel all other users' reconstructed signals, then MRC per user.
 
     ``mf`` is the (M, K, L) matched-filter output; ``est_gains`` is (K, L)
-    or per-period (M, K, L); ``feedback``/``true_symbols`` are (K, M).
-    Reconstruction uses estimated gain times fed-back symbol, exactly; no
-    partial weighting.  When ``true_gains``/``true_symbols`` are given the
-    per-path residual and the (uncancelled) own-path crosstalk are returned
-    for truth-assisted statistics; the identity
+    or per-period (M, K, L); ``true_gains`` is (K, L);
+    ``feedback``/``true_symbols`` are (K, M).  Reconstruction uses
+    estimated gain times fed-back symbol, exactly; no partial weighting.
+    The true gains and symbols give the per-path residual and the
+    (uncancelled) own-path crosstalk for truth-assisted statistics; the
+    identity
 
         combined_k = sum_l est*_{kl} (a_kl b_k + crosstalk_kl + residual_kl)
 
@@ -118,12 +119,10 @@ def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
     own_proj = _real_matmul(own_gram, amp[..., None])[..., 0]
     cleaned = mf - (full_proj - own_proj)
     combined = np.sum(est.conj() * cleaned, axis=2)
-    residual = crosstalk = None
-    if true_gains is not None and true_symbols is not None:
-        sym = true_symbols.T.astype(np.float64)                       # (M, K)
-        own_true = _real_matmul(own_gram, true_gains[..., None])[..., 0]
-        crosstalk = sym[:, :, None] * (own_true - true_gains)
-        residual = cleaned - true_gains * sym[:, :, None] - crosstalk
+    sym = true_symbols.T.astype(np.float64)                           # (M, K)
+    own_true = _real_matmul(own_gram, true_gains[..., None])[..., 0]
+    crosstalk = sym[:, :, None] * (own_true - true_gains)
+    residual = cleaned - true_gains * sym[:, :, None] - crosstalk
     return PicFrameDetection(combined=combined, residual=residual,
                              self_crosstalk=crosstalk)
 
@@ -165,13 +164,13 @@ def measure_pic_stats(config: SystemConfig,
 
     ``leave_one_out``  per-period refit excluding that period (default);
                        this is the no-information-reuse receiver the
-                       closed-form residual expressions describe
-    ``all_periods``    one estimate from every period, reused everywhere;
-                       cheaper, but couples estimation and feedback errors
-                       and visibly shrinks the residuals
+                       closed-form residual expressions describe, since
+                       an estimate that also saw the detected period
+                       couples estimation and feedback errors and
+                       shrinks the residuals
     ``perfect``        genie gains (no estimation error at all)
     """
-    if channel_knowledge not in ("leave_one_out", "all_periods", "perfect"):
+    if channel_knowledge not in ("leave_one_out", "perfect"):
         raise ParameterError(f"unknown channel_knowledge {channel_knowledge!r}")
     if frames < realizations:
         raise ParameterError("need at least one frame per realization")
@@ -188,36 +187,30 @@ def measure_pic_stats(config: SystemConfig,
 
     for r in range(realizations):
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
-        channel = sm.generate_channel(config, rng_r)
-        user_power[r] = np.sum(np.abs(channel.gains) ** 2, axis=1)
+        gains = sm.generate_channel(config, rng_r)
+        user_power[r] = np.sum(np.abs(gains) ** 2, axis=1)
         for f in range(per_real):
             rng = derive_stream(config.seed, f"{experiment_id}/frame/{r}", f)
             codes = sm.generate_codes(config, rng)
             symbols = sm.generate_symbols(config, rng)
-            feedback = sm.corrupt_feedback(symbols, error_rate, rng)
-            received = sm.synthesize_received(channel, codes, symbols, config, rng)
+            feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
+            chips, _ = sm.synthesize_received(gains, codes, symbols, config, rng)
             if channel_knowledge == "perfect":
-                est = channel.gains
-            elif channel_knowledge == "all_periods":
-                stacked = build_stacked_matrix(codes, feedback.decisions)
-                est = ml_estimate(stacked, received.chips.reshape(-1)).gains_matrix(ll)
+                est = gains
             else:
-                stacked = build_stacked_matrix(codes, feedback.decisions)
-                est = leave_one_out_estimates_fast(
-                    stacked, received.chips).reshape(m, kk, ll)
+                stacked = build_stacked_matrix(codes, feedback)
+                est = leave_one_out_estimates_fast(stacked, chips).reshape(m, kk, ll)
 
-            mf = matched_filter_frame(received.chips, codes)
-            det = pic_mrc_frame(mf, codes, est, feedback.decisions,
-                                true_gains=channel.gains,
-                                true_symbols=symbols.symbols)
-            signal = np.sum(est.conj() * channel.gains, axis=-1)       # (K,) or (M, K)
-            b = symbols.symbols.T.astype(np.float64)                  # (M, K)
+            mf = matched_filter_frame(chips, codes)
+            det = pic_mrc_frame(mf, codes, est, feedback,
+                                true_gains=gains, true_symbols=symbols)
+            signal = np.sum(est.conj() * gains, axis=-1)               # (K,) or (M, K)
+            b = symbols.T.astype(np.float64)                          # (M, K)
             zb[r, f * m:(f + 1) * m] = (det.combined * b).real
-            bsign[r, f * m:(f + 1) * m] = symbols.symbols.T
+            bsign[r, f * m:(f + 1) * m] = symbols.T
             noise_sq.append(np.abs(det.combined * b - signal) ** 2)
             resid_sq.append(np.abs(det.residual) ** 2)
-            errors += int(np.sum((det.combined.real >= 0)
-                                 != (symbols.symbols.T > 0)))
+            errors += int(np.sum((det.combined.real >= 0) != (symbols.T > 0)))
             decisions += kk * m
 
     resid_sq = np.concatenate(resid_sq, axis=None)

@@ -235,20 +235,20 @@ def empirical_estimation_stats(config: SystemConfig,
 
     for r in range(realizations):
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
-        channel = sm.generate_channel(config, rng_r)
+        gains = sm.generate_channel(config, rng_r)
         codes = sm.generate_codes(config, rng_r)
-        a = channel.vector
+        a = gains.reshape(-1)
 
         fb_parts = np.empty((inner, kl), dtype=complex)
         nz_parts = np.empty((inner, kl), dtype=complex)
         for j in range(inner):
             rng = derive_stream(config.seed, f"{experiment_id}/trial/{r}", j)
             symbols = sm.generate_symbols(config, rng)
-            feedback = sm.corrupt_feedback(symbols, error_rate, rng)
-            received = sm.synthesize_received(channel, codes, symbols, config, rng)
-            s_true = build_stacked_matrix(codes, symbols.symbols)
-            s_fb = build_stacked_matrix(codes, feedback.decisions)
-            dec = decompose_error(a, s_true, s_fb, received.noise.reshape(-1), mode=mode)
+            feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
+            _, noise = sm.synthesize_received(gains, codes, symbols, config, rng)
+            s_true = build_stacked_matrix(codes, symbols)
+            s_fb = build_stacked_matrix(codes, feedback)
+            dec = decompose_error(a, s_true, s_fb, noise.reshape(-1), mode=mode)
             fb_parts[j] = dec.feedback_part
             nz_parts[j] = dec.noise_part
 

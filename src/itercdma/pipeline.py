@@ -7,8 +7,10 @@ so feedback decisions look independent across periods.  The receiver is one
 loop over stages ``d = 0..iterations``: per block, a least-squares channel
 estimate (pilot periods at ``d = 0``, all periods after) or the genie
 channel, then LMMSE at ``d = 0`` or PIC + MRC with the fed-back decisions
-after; then one decode of all codewords, whose re-encoded decisions
-overwrite the data columns of the believed symbols.  A trial whose
+after; then the LLRs of every block in one call (the output model's
+variances depend only on the stage's error rate), and one decode of all
+codewords, whose re-encoded decisions overwrite the data columns of the
+believed symbols.  A trial whose
 decisions repeat stops, and its later stages repeat its last statistics.
 
 Each block is drawn once per trial.  Its code signs are kept as int8
@@ -86,7 +88,9 @@ def codeword_packing(config: SystemConfig, codeword_length: int):
 
 def _pic_llrs(combined: np.ndarray, est_gains: np.ndarray, prev_pe: float,
               config: SystemConfig, genie_csi: bool = False) -> np.ndarray:
-    """Scale MRC outputs (..., K) to LLRs using the scalar output model.
+    """Scale MRC outputs (..., M, K) to LLRs using the scalar output model.
+
+    ``est_gains`` is (..., K, L), one estimate per leading index.
 
     Per-user decisions under the convolutional decoder are invariant to
     this (positive) scaling; it only calibrates the turbo decoder and the
@@ -99,7 +103,7 @@ def _pic_llrs(combined: np.ndarray, est_gains: np.ndarray, prev_pe: float,
         config.training_fraction)
     sigma_i = analysis.residual_interference_variance(
         delta_a, config.load, l, pe, config.noise_var)
-    power = np.sum(np.abs(est_gains) ** 2, axis=-1)
+    power = np.sum(np.abs(est_gains) ** 2, axis=-1)[..., None, :]
     gain = np.maximum(power - l * delta_a, 0.1 * power) / (1.0 - 2.0 * pe)
     return 4.0 * gain * combined.real / np.maximum(power * sigma_i, 1e-12)
 
@@ -123,13 +127,12 @@ def _draw_blocks(config, data, trial_tag):
     signs = np.empty((n_blocks, m, k, l, n), dtype=np.int8)
     for b in range(n_blocks):
         rng = derive_stream(config.seed, f"{trial_tag}/block", b)
-        channel = sm.generate_channel(config, rng)
+        channels[b] = sm.generate_channel(config, rng)
         codes = sm.generate_codes(config, rng)
         signs[b] = np.sign(codes)
-        frame = sm.generate_symbols(config, rng)
-        frame.symbols[:, m_t:] = data[b]
-        chips[b] = sm.synthesize_received(channel, codes, frame, config, rng).chips
-        channels[b], symbols[b] = channel.gains, frame.symbols
+        symbols[b] = sm.generate_symbols(config, rng)
+        symbols[b, :, m_t:] = data[b]
+        chips[b], _ = sm.synthesize_received(channels[b], codes, symbols[b], config, rng)
     return channels, symbols, chips, signs
 
 
@@ -169,7 +172,9 @@ def run_iterative_receiver(config: SystemConfig,
         data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
         channels, symbols, chips, signs = _draw_blocks(config, data, trial_tag)
         believed = symbols.copy()         # data columns take each decode's feedback
-        llrs = np.empty((kk, n_blocks, data_per_block))
+        ests = np.empty((n_blocks, kk, ll), dtype=complex)
+        soft = np.empty((n_blocks, data_per_block, kk), dtype=complex)
+        bias = np.empty((n_blocks, data_per_block, kk))
 
         for d in range(n_iter + 1):
             genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
@@ -179,26 +184,28 @@ def run_iterative_receiver(config: SystemConfig,
                 codes = sm.codes_from_signs(signs[b])
                 data_codes = codes[m_t:]
                 if genie:
-                    est = channels[b]
+                    ests[b] = channels[b]
                 else:
                     stacked = build_stacked_matrix(codes, believed[b], blocks=periods)
-                    est = ml_estimate(stacked, chips[b, periods].reshape(-1)) \
+                    ests[b] = ml_estimate(stacked, chips[b, periods].reshape(-1)) \
                         .gains_matrix(ll)
-                    mse_acc += np.mean(np.abs(est - channels[b]) ** 2)
+                    mse_acc += np.mean(np.abs(ests[b] - channels[b]) ** 2)
                 if d == 0:
-                    soft, bias = lmmse_detect_frame(chips[b, m_t:], data_codes,
-                                                    est, config.noise_var)
-                    llrs[:, b] = lmmse_llrs(soft, bias).T
+                    soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,
+                                                          ests[b], config.noise_var)
                 else:
                     mf = matched_filter_frame(chips[b, m_t:], data_codes)
-                    det = pic_mrc_frame(mf, data_codes, est, believed[b, :, m_t:],
+                    det = pic_mrc_frame(mf, data_codes, ests[b], believed[b, :, m_t:],
                                         true_gains=channels[b],
                                         true_symbols=symbols[b, :, m_t:])
-                    llrs[:, b] = _pic_llrs(det.combined, est, pe[t, d - 1],
-                                           config, genie_csi=genie).T
+                    soft[b] = det.combined
                     res_acc += float(np.sum(np.abs(det.residual) ** 2))
+            if d == 0:
+                llrs = lmmse_llrs(soft, bias)
+            else:
+                llrs = _pic_llrs(soft, ests, pe[t, d - 1], config, genie_csi=genie)
             info_hat, feedback = codec.decode(
-                llrs.reshape(kk * copies, codec.codeword_length))
+                llrs.transpose(2, 0, 1).reshape(kk * copies, codec.codeword_length))
             feedback = feedback.reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
             pe[t, d] = np.mean(feedback != data)
             ber[t, d] = np.mean(info_hat != info)
@@ -281,7 +288,6 @@ def capacity_search(config_template: SystemConfig,
         cache[n_users] = ok
         return ok
 
-    max_load, _ = analysis.bisect_max_load(feasible, load_min, load_max,
-                                           resolution)
+    max_load = analysis.bisect_max_load(feasible, load_min, load_max, resolution)
     return CapacityResult(mode=mode, max_load=max_load, target_ber=target_ber,
                           probes=probes)

@@ -106,8 +106,7 @@ class MomentReport:
 def _trial_moments(config: SystemConfig, max_order: int,
                    rng: np.random.Generator) -> np.ndarray:
     codes = sm.generate_codes(config, rng)
-    symbols = sm.generate_symbols(config, rng)
-    stacked = build_stacked_matrix(codes, symbols.symbols)
+    stacked = build_stacked_matrix(codes, sm.generate_symbols(config, rng))
     # stacked columns have norm sqrt(M); the analyzed ensemble normalizes
     # them to one, so the Gram is scaled by the coherence time
     gram = stacked.matrix.T @ stacked.matrix / config.coherence_time

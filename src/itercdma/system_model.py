@@ -21,8 +21,6 @@ so trials parallelize by handing out disjoint streams (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
@@ -30,62 +28,15 @@ from .exceptions import ConfigurationError, ParameterError
 from .solvers import _real_matmul
 
 
-@dataclass
-class ChannelRealization:
-    """Complex path gains for one coherence block, shape (K, L)."""
-
-    gains: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Flattened user-major gain vector of length K*L.
-
-        Component ``i`` is user ``i // L``, path ``i % L``.
-        """
-        return self.gains.reshape(-1)
-
-
-@dataclass
-class SymbolFrame:
-    """BPSK channel symbols (K, M) plus the training-period mask (M,).
-
-    The first ``n_training`` periods of a block carry known symbols.
-    """
-
-    symbols: np.ndarray
-    training_mask: np.ndarray
-
-
-@dataclass
-class ReceivedFrame:
-    """Chip matched-filter outputs (M, N) and the noise record (M, N).
-
-    The noise record is simulation-side state used to split estimation
-    error into feedback- and noise-induced parts; a receiver never sees it.
-    """
-
-    chips: np.ndarray
-    noise: np.ndarray
-
-
-@dataclass
-class FeedbackFrame:
-    """Hard decision feedback (K, M) with its realized error rate."""
-
-    decisions: np.ndarray
-    realized_error_rate: float
-
-
-def generate_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. circularly symmetric complex Gaussian gains, variance 1/L.
+def generate_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw i.i.d. circularly symmetric complex Gaussian gains (K, L), variance 1/L.
 
     Per-user total power sums to about one as L grows, so every user sees
     the same post-combining statistics.
     """
     k, l = config.n_users, config.n_paths
     scale = np.sqrt(1.0 / (2.0 * l))
-    gains = scale * (rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
-    return ChannelRealization(gains=gains)
+    return scale * (rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
 
 
 def generate_code_signs(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -114,57 +65,60 @@ def generate_codes(config: SystemConfig, rng: np.random.Generator) -> np.ndarray
     return codes_from_signs(generate_code_signs(config, rng))
 
 
-def generate_symbols(config: SystemConfig, rng: np.random.Generator) -> SymbolFrame:
-    """Draw uniform BPSK symbols; the first M_t periods are flagged training."""
+def generate_symbols(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw uniform BPSK symbols, int8 of shape (K, M).
+
+    The first ``config.n_training`` periods of a block carry known symbols.
+    """
     k, m = config.n_users, config.coherence_time
-    symbols = (2 * rng.integers(0, 2, size=(k, m)) - 1).astype(np.int8)
-    mask = np.zeros(m, dtype=bool)
-    mask[:config.n_training] = True
-    return SymbolFrame(symbols=symbols, training_mask=mask)
+    return (2 * rng.integers(0, 2, size=(k, m)) - 1).astype(np.int8)
 
 
-def synthesize_received(channel: ChannelRealization,
+def synthesize_received(gains: np.ndarray,
                         codes: np.ndarray,
-                        symbols: SymbolFrame,
+                        symbols: np.ndarray,
                         config: SystemConfig,
-                        rng: np.random.Generator) -> ReceivedFrame:
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Superpose all user/path contributions and add CSCG noise.
 
-    Noise samples have total variance ``config.noise_var`` per complex chip
-    (noise_var/2 in each real dimension).
+    Returns the chip matched-filter outputs (M, N) and the noise record
+    (M, N).  Noise samples have total variance ``config.noise_var`` per
+    complex chip (noise_var/2 in each real dimension).  The noise record is
+    simulation-side state used to split estimation error into feedback- and
+    noise-induced parts; a receiver never sees it.
     """
     m, k, l, n = codes.shape
-    if channel.gains.shape != (k, l):
+    if gains.shape != (k, l):
         raise ConfigurationError(
-            f"channel gains shape {channel.gains.shape} does not match codes {(k, l)}")
-    if symbols.symbols.shape != (k, m):
+            f"channel gains shape {gains.shape} does not match codes {(k, l)}")
+    if symbols.shape != (k, m):
         raise ConfigurationError(
-            f"symbol frame shape {symbols.symbols.shape} does not match codes {(k, m)}")
+            f"symbol frame shape {symbols.shape} does not match codes {(k, m)}")
     if (m, k, l, n) != (config.coherence_time, config.n_users,
                         config.n_paths, config.spreading_gain):
         raise ConfigurationError("codes do not match the configuration dimensions")
 
-    amp = symbols.symbols.T[:, :, None] * channel.gains               # (M, K, L)
+    amp = symbols.T[:, :, None] * gains                               # (M, K, L)
     signal = _real_matmul(codes.reshape(m, k * l, n).transpose(0, 2, 1),
                           amp.reshape(m, k * l, 1))[..., 0]
     sigma = np.sqrt(config.noise_var / 2.0)
     noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    return ReceivedFrame(chips=signal + noise, noise=noise)
+    return signal + noise, noise
 
 
-def corrupt_feedback(symbols: SymbolFrame,
+def corrupt_feedback(symbols: np.ndarray,
                      error_rate: float,
-                     rng: np.random.Generator) -> FeedbackFrame:
-    """Flip each symbol independently with probability ``error_rate``.
+                     n_training: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Flip each symbol (K, M) independently with probability ``error_rate``.
 
-    Feedback on training periods is replaced by the known truth (the
-    blended estimator treats those periods as error-free).  The realized
-    rate is counted over all K*M symbols.
+    Returns the int8 decisions.  Feedback on the first ``n_training``
+    periods is replaced by the known truth (the blended estimator treats
+    those periods as error-free).
     """
     if not 0.0 <= error_rate <= 0.5:
         raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
-    flips = rng.random(symbols.symbols.shape) < error_rate
-    flips[:, symbols.training_mask] = False
-    decisions = np.where(flips, -symbols.symbols, symbols.symbols).astype(np.int8)
-    return FeedbackFrame(decisions=decisions, realized_error_rate=float(np.mean(flips)))
+    flips = rng.random(symbols.shape) < error_rate
+    flips[:, :n_training] = False
+    return np.where(flips, -symbols, symbols).astype(np.int8)
 

@@ -279,8 +279,8 @@ def test_criterion_11_solver_equivalence():
         rng = derive_stream(11, "acc11-gram", trial)
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        feedback = sm.corrupt_feedback(symbols, 0.1, rng)
-        stacked = build_stacked_matrix(codes, feedback.decisions)
+        feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
+        stacked = build_stacked_matrix(codes, feedback)
         gram = stacked.matrix.T @ stacked.matrix
         rhs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         direct = solve_normal_equations(gram, rhs).solution
@@ -296,8 +296,8 @@ def test_criterion_11_solver_equivalence():
         rng = derive_stream(11, "acc11-eig", trial)
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        feedback = sm.corrupt_feedback(symbols, 0.1, rng)
-        stacked = build_stacked_matrix(codes, feedback.decisions)
+        feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
+        stacked = build_stacked_matrix(codes, feedback)
         gram = stacked.matrix.T @ stacked.matrix
         tops.append(np.linalg.eigvalsh(gram)[-1] / cfg.coherence_time)
     expected = (1 + np.sqrt(cfg.stacked_load)) ** 2

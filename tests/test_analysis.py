@@ -263,15 +263,21 @@ class TestBisection:
             calls.append(load)
             return load <= 0.62
 
-        best, probes = analysis.bisect_max_load(feasible, 0.05, 2.0, 0.05)
+        best = analysis.bisect_max_load(feasible, 0.05, 2.0, 0.05)
         assert best == pytest.approx(0.60)
         assert len(calls) < 12
 
     def test_infeasible_everywhere_returns_zero(self):
-        best, probes = analysis.bisect_max_load(lambda b: False, 0.05, 2.0, 0.05)
+        calls = []
+
+        def feasible(load):
+            calls.append(load)
+            return False
+
+        best = analysis.bisect_max_load(feasible, 0.05, 2.0, 0.05)
         assert best == 0.0
-        assert len(probes) == 1
+        assert len(calls) == 1
 
     def test_feasible_everywhere_returns_top(self):
-        best, _ = analysis.bisect_max_load(lambda b: True, 0.05, 2.0, 0.05)
+        best = analysis.bisect_max_load(lambda b: True, 0.05, 2.0, 0.05)
         assert best == pytest.approx(2.0)

@@ -119,3 +119,18 @@ def test_config_file_override(tmp_path):
     manifest = _manifest(out)
     assert manifest["config"]["n_users"] == 10
     assert manifest["config"]["spreading_gain"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--modes", "iterative,bogus", "--coherence-times", "10",
+     "--trials", "1", "--iterations", "1"],
+    ["gcurve", "--grid", "1:2"],
+    ["fig2", "--coherence-times", "10,abc"],
+], ids=["capacity_unknown_mode", "gcurve_short_grid", "fig2_non_integer_m"])
+def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert "usage:" in capsys.readouterr().err

@@ -13,21 +13,21 @@ SNR10 = noise_var_from_snr_db(10.0)
 
 def _frame(cfg, seed, error_rate=0.0, tag="det"):
     rng = derive_stream(seed, tag, 0)
-    channel = sm.generate_channel(cfg, rng)
+    gains = sm.generate_channel(cfg, rng)
     codes = sm.generate_codes(cfg, rng)
     symbols = sm.generate_symbols(cfg, rng)
-    feedback = sm.corrupt_feedback(symbols, error_rate, rng)
-    received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-    return channel, codes, symbols, feedback, received
+    feedback = sm.corrupt_feedback(symbols, error_rate, cfg.n_training, rng)
+    chips, noise = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+    return gains, codes, symbols, feedback, chips, noise
 
 
 class TestMatchedFilter:
     def test_single_user_noiseless_recovers_gain(self):
         cfg = SystemConfig(n_users=1, spreading_gain=32, n_paths=1,
                            coherence_time=4, noise_var=0.0, seed=1)
-        channel, codes, symbols, _, received = _frame(cfg, 1)
-        y = matched_filter_frame(received.chips, codes)
-        np.testing.assert_allclose(y[:, 0, 0], channel.gains[0, 0] * symbols.symbols[0],
+        gains, codes, symbols, _, chips, _ = _frame(cfg, 1)
+        y = matched_filter_frame(chips, codes)
+        np.testing.assert_allclose(y[:, 0, 0], gains[0, 0] * symbols[0],
                                    rtol=1e-12)
 
     def test_pure_noise_projection_variance(self):
@@ -43,36 +43,35 @@ class TestMatchedFilter:
     def test_matches_brute_force_dot_products(self):
         cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=3,
                            coherence_time=6, noise_var=0.2, seed=3)
-        _, codes, _, _, received = _frame(cfg, 3)
-        y = matched_filter_frame(received.chips, codes)
+        _, codes, _, _, chips, _ = _frame(cfg, 3)
+        y = matched_filter_frame(chips, codes)
         for t in range(6):
             for k in range(5):
                 for l in range(3):
                     assert y[t, k, l] == pytest.approx(
-                        np.dot(codes[t, k, l], received.chips[t]))
+                        np.dot(codes[t, k, l], chips[t]))
 
 
 class TestLmmse:
     def test_single_user_output_sinr_is_matched_filter_bound(self):
         cfg = SystemConfig(n_users=1, spreading_gain=64, n_paths=1,
                            coherence_time=200, noise_var=0.1, seed=5)
-        channel, codes, symbols, _, received = _frame(cfg, 5)
-        soft, _ = lmmse_detect_frame(received.chips, codes,
-                                     channel.gains, 0.1)
-        rotated = soft[:, 0] * symbols.symbols[0]
+        gains, codes, symbols, _, chips, _ = _frame(cfg, 5)
+        soft, _ = lmmse_detect_frame(chips, codes, gains, 0.1)
+        rotated = soft[:, 0] * symbols[0]
         gain = rotated.real.mean()
         sinr = gain ** 2 / np.var(rotated - gain + 0j)
-        assert sinr == pytest.approx(np.abs(channel.gains[0, 0]) ** 2 / 0.1,
+        assert sinr == pytest.approx(np.abs(gains[0, 0]) ** 2 / 0.1,
                                      rel=0.25)
 
     def test_high_noise_limit_is_scaled_matched_filter(self):
         cfg = SystemConfig(n_users=4, spreading_gain=32, n_paths=2,
                            coherence_time=4, noise_var=1e6, seed=6)
-        channel, codes, _, _, received = _frame(cfg, 6)
-        soft, _ = lmmse_detect_frame(received.chips, codes,
-                                     channel.gains, cfg.noise_var)
-        signatures = np.einsum("kl,mkln->mnk", channel.gains, codes)
-        mf = np.einsum("mnk,mn->mk", signatures.conj(), received.chips)
+        gains, codes, _, _, chips, _ = _frame(cfg, 6)
+        soft, _ = lmmse_detect_frame(chips, codes,
+                                     gains, cfg.noise_var)
+        signatures = np.einsum("kl,mkln->mnk", gains, codes)
+        mf = np.einsum("mnk,mn->mk", signatures.conj(), chips)
         for t in range(cfg.coherence_time):
             cosine = np.abs(np.vdot(soft[t], mf[t])) / (
                 np.linalg.norm(soft[t]) * np.linalg.norm(mf[t]))
@@ -83,23 +82,22 @@ class TestLmmse:
         # per-user received powers plugged into the general version
         cfg = SystemConfig(n_users=32, spreading_gain=64, n_paths=50,
                            coherence_time=60, noise_var=0.1, seed=7)
-        channel, codes, symbols, _, received = _frame(cfg, 7)
-        soft, _ = lmmse_detect_frame(received.chips, codes,
-                                     channel.gains, 0.1)
-        rotated = soft.T * symbols.symbols
-        gains = rotated.real.mean(axis=1)
-        sinrs = gains ** 2 / np.var(rotated - gains[:, None] + 0j, axis=1)
+        gains, codes, symbols, _, chips, noise = _frame(cfg, 7)
+        soft, _ = lmmse_detect_frame(chips, codes, gains, 0.1)
+        rotated = soft.T * symbols
+        amps = rotated.real.mean(axis=1)
+        sinrs = amps ** 2 / np.var(rotated - amps[:, None] + 0j, axis=1)
 
-        powers = np.sum(np.abs(channel.gains) ** 2, axis=1)
+        powers = np.sum(np.abs(gains) ** 2, axis=1)
         oracle = _tse_hanly_sinrs(powers, 0.1, cfg.spreading_gain)
         assert np.median(sinrs) == pytest.approx(np.median(oracle), rel=0.15)
 
     def test_llr_sign_follows_soft_output(self):
         cfg = SystemConfig(n_users=3, spreading_gain=16, n_paths=2,
                            coherence_time=4, noise_var=0.3, seed=8)
-        channel, codes, _, _, received = _frame(cfg, 8)
-        soft, bias = lmmse_detect_frame(received.chips, codes,
-                                        channel.gains, 0.3)
+        gains, codes, _, _, chips, _ = _frame(cfg, 8)
+        soft, bias = lmmse_detect_frame(chips, codes,
+                                        gains, 0.3)
         np.testing.assert_array_equal(np.sign(lmmse_llrs(soft, bias)),
                                       np.sign(soft.real))
 
@@ -107,10 +105,10 @@ class TestLmmse:
         # one user, no noise: rank-one covariance triggers the ridge
         cfg = SystemConfig(n_users=1, spreading_gain=8, n_paths=1,
                            coherence_time=2, noise_var=0.0, seed=18)
-        channel, codes, _, _, received = _frame(cfg, 18)
+        gains, codes, _, _, chips, noise = _frame(cfg, 18)
         with pytest.warns(RuntimeWarning, match="ridge"):
-            soft, bias = lmmse_detect_frame(received.chips, codes,
-                                            channel.gains, 0.0)
+            soft, bias = lmmse_detect_frame(chips, codes,
+                                            gains, 0.0)
         assert np.isfinite(soft).all() and np.isfinite(bias).all()
 
 
@@ -154,14 +152,14 @@ class TestPic:
     def test_perfect_cancellation_leaves_own_user_terms(self):
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=3,
                            coherence_time=4, noise_var=0.0, seed=9)
-        channel, codes, symbols, feedback, received = _frame(cfg, 9, 0.0)
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
-                            true_gains=channel.gains, true_symbols=symbols.symbols)
+        gains, codes, symbols, feedback, chips, noise = _frame(cfg, 9, 0.0)
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, gains, feedback,
+                            true_gains=gains, true_symbols=symbols)
         # residual carries nothing: no noise, no feedback error, true gains
         np.testing.assert_allclose(det.residual, 0.0, atol=1e-12)
-        expected = np.sum(channel.gains.conj()
-                          * (channel.gains * symbols.symbols.T[:, :, None]
+        expected = np.sum(gains.conj()
+                          * (gains * symbols.T[:, :, None]
                              + det.self_crosstalk), axis=2)
         np.testing.assert_allclose(det.combined, expected, atol=1e-12)
 
@@ -169,24 +167,24 @@ class TestPic:
         # combined equals gains* . (signal + crosstalk + residual) exactly
         cfg = SystemConfig(n_users=8, spreading_gain=32, n_paths=2,
                            coherence_time=4, noise_var=0.4, seed=10)
-        channel, codes, symbols, feedback, received = _frame(cfg, 10, 0.1)
-        est = channel.gains * (0.9 + 0.05j)   # any estimate
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, est, feedback.decisions,
-                            true_gains=channel.gains, true_symbols=symbols.symbols)
+        gains, codes, symbols, feedback, chips, _ = _frame(cfg, 10, 0.1)
+        est = gains * (0.9 + 0.05j)   # any estimate
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, est, feedback,
+                            true_gains=gains, true_symbols=symbols)
         rebuilt = np.sum(est.conj()
-                         * (channel.gains * symbols.symbols.T[:, :, None]
+                         * (gains * symbols.T[:, :, None]
                             + det.self_crosstalk + det.residual), axis=2)
         np.testing.assert_allclose(det.combined, rebuilt, atol=1e-10)
 
     def test_residual_is_noise_when_no_errors(self):
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=2,
                            coherence_time=50, noise_var=0.25, seed=11)
-        channel, codes, symbols, feedback, received = _frame(cfg, 11, 0.0)
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
-                            true_gains=channel.gains,
-                            true_symbols=symbols.symbols)
+        gains, codes, symbols, feedback, chips, _ = _frame(cfg, 11, 0.0)
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, gains, feedback,
+                            true_gains=gains,
+                            true_symbols=symbols)
         power = np.mean(np.abs(det.residual) ** 2)
         assert power == pytest.approx(0.25, rel=0.1)
 
@@ -194,17 +192,17 @@ class TestPic:
     def test_matches_chip_level_oracle(self, per_period):
         cfg = SystemConfig(n_users=5, spreading_gain=16, n_paths=2,
                            coherence_time=5, noise_var=0.3, seed=12)
-        channel, codes, symbols, feedback, received = _frame(cfg, 12, 0.1)
+        gains, codes, symbols, feedback, chips, _ = _frame(cfg, 12, 0.1)
         rng = derive_stream(12, "pic-oracle", 0)
-        shape = (5,) + channel.gains.shape if per_period else channel.gains.shape
-        est = channel.gains + 0.1 * (rng.standard_normal(shape)
+        shape = (5,) + gains.shape if per_period else gains.shape
+        est = gains + 0.1 * (rng.standard_normal(shape)
                                      + 1j * rng.standard_normal(shape))
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, est, feedback.decisions,
-                            true_gains=channel.gains, true_symbols=symbols.symbols)
-        combined, residual = _pic_oracle(received.chips, codes, est,
-                                         feedback.decisions, channel.gains,
-                                         symbols.symbols)
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, est, feedback,
+                            true_gains=gains, true_symbols=symbols)
+        combined, residual = _pic_oracle(chips, codes, est,
+                                         feedback, gains,
+                                         symbols)
         np.testing.assert_allclose(det.combined, combined, rtol=0, atol=1e-12)
         np.testing.assert_allclose(det.residual, residual, rtol=0, atol=1e-12)
 
@@ -250,15 +248,15 @@ def test_residual_mean_near_zero():
     resids = []
     for trial in range(6):
         rng = derive_stream(14, "resmean", trial)
-        channel = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        feedback = sm.corrupt_feedback(symbols, 0.1, rng)
-        received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
-                            true_gains=channel.gains,
-                            true_symbols=symbols.symbols)
+        feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
+        chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, gains, feedback,
+                            true_gains=gains,
+                            true_symbols=symbols)
         resids.append(det.residual.ravel())
     resids = np.concatenate(resids)
     se = resids.real.std() / np.sqrt(resids.size)
@@ -287,15 +285,15 @@ def test_cross_path_residuals_uncorrelated_at_large_gain():
     prods = []
     for trial in range(6):
         rng = derive_stream(16, "xpath", trial)
-        channel = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        feedback = sm.corrupt_feedback(symbols, 0.1, rng)
-        received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(received.chips, codes)
-        det = pic_mrc_frame(mf, codes, channel.gains, feedback.decisions,
-                            true_gains=channel.gains,
-                            true_symbols=symbols.symbols)
+        feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
+        chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+        mf = matched_filter_frame(chips, codes)
+        det = pic_mrc_frame(mf, codes, gains, feedback,
+                            true_gains=gains,
+                            true_symbols=symbols)
         prods.append((det.residual[:, :, 0]
                       * det.residual[:, :, 1].conj()).ravel())
     prods = np.concatenate(prods)

@@ -14,22 +14,22 @@ SNR5 = noise_var_from_snr_db(5.0)
 
 def _frame(cfg, seed, error_rate=0.0, tag="est"):
     rng = derive_stream(seed, tag, 0)
-    channel = sm.generate_channel(cfg, rng)
+    gains = sm.generate_channel(cfg, rng)
     codes = sm.generate_codes(cfg, rng)
     symbols = sm.generate_symbols(cfg, rng)
-    feedback = sm.corrupt_feedback(symbols, error_rate, rng)
-    received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-    return channel, codes, symbols, feedback, received
+    feedback = sm.corrupt_feedback(symbols, error_rate, cfg.n_training, rng)
+    chips, noise = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+    return gains, codes, symbols, feedback, chips, noise
 
 
-def _refit_leave_one_out(codes, symbols, received):
+def _refit_leave_one_out(codes, symbols, chips):
     """Oracle: per period t, the least-squares refit on every other period."""
     m = codes.shape[0]
     out = []
     for t in range(m):
         kept = np.delete(np.arange(m), t)
         stacked = build_stacked_matrix(codes, symbols, blocks=kept)
-        out.append(ml_estimate(stacked, received.chips[kept].reshape(-1)).gains_flat)
+        out.append(ml_estimate(stacked, chips[kept].reshape(-1)).gains_flat)
     return np.array(out)
 
 
@@ -44,67 +44,84 @@ class TestStackedMatrix:
         np.testing.assert_allclose(stacked.matrix[:8, 0], codes[0, 0, 0])
         np.testing.assert_allclose(stacked.matrix[8:, 0], -codes[1, 0, 0])
 
+    def test_vector_is_user_major(self):
+        # stacked column i and entry i of gains.reshape(-1) are user i // L, path i % L
+        cfg = SystemConfig(n_users=3, spreading_gain=8, n_paths=2,
+                           coherence_time=2, noise_var=0.0, seed=6)
+        rng = derive_stream(6, "stk", 0)
+        gains = sm.generate_channel(cfg, rng)
+        codes = sm.generate_codes(cfg, rng)
+        symbols = np.ones((3, 2), dtype=np.int8)
+        stacked = build_stacked_matrix(codes, symbols)
+        a = gains.reshape(-1)
+        for i in range(cfg.n_gains):
+            k, l = divmod(i, cfg.n_paths)
+            assert a[i] == gains[k, l]
+            np.testing.assert_array_equal(stacked.matrix[:8, i], codes[0, k, l])
+        chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+        np.testing.assert_allclose(stacked.matrix @ a, chips.reshape(-1), atol=1e-12)
+
     def test_column_norms_sqrt_m(self):
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=3,
                            coherence_time=9, seed=2)
-        _, codes, symbols, _, _ = _frame(cfg, 2)
-        stacked = build_stacked_matrix(codes, symbols.symbols)
+        _, codes, symbols, _, _, _ = _frame(cfg, 2)
+        stacked = build_stacked_matrix(codes, symbols)
         norms = np.linalg.norm(stacked.matrix, axis=0)
         np.testing.assert_allclose(norms, np.sqrt(9), atol=1e-12)
 
     def test_perfect_feedback_gives_identical_matrix(self):
         cfg = SystemConfig(n_users=3, spreading_gain=16, n_paths=2,
                            coherence_time=6, seed=3)
-        _, codes, symbols, feedback, _ = _frame(cfg, 3, error_rate=0.0)
-        s_true = build_stacked_matrix(codes, symbols.symbols)
-        s_fb = build_stacked_matrix(codes, feedback.decisions)
+        _, codes, symbols, feedback, _, _ = _frame(cfg, 3, error_rate=0.0)
+        s_true = build_stacked_matrix(codes, symbols)
+        s_fb = build_stacked_matrix(codes, feedback)
         np.testing.assert_array_equal(s_true.matrix, s_fb.matrix)
 
     def test_single_flip_touches_l_columns_in_one_block(self):
         cfg = SystemConfig(n_users=3, spreading_gain=16, n_paths=2,
                            coherence_time=6, seed=4)
-        _, codes, symbols, _, _ = _frame(cfg, 4)
-        flipped = symbols.symbols.copy()
+        _, codes, symbols, _, _, _ = _frame(cfg, 4)
+        flipped = symbols.copy()
         k_hit, m_hit = 1, 3
         flipped[k_hit, m_hit] = -flipped[k_hit, m_hit]
-        delta = (build_stacked_matrix(codes, symbols.symbols).matrix
+        delta = (build_stacked_matrix(codes, symbols).matrix
                  - build_stacked_matrix(codes, flipped).matrix)
         # delta = 2 b * s on the flipped user's L columns of block m only
         n, l = cfg.spreading_gain, cfg.n_paths
         rows = slice(m_hit * n, (m_hit + 1) * n)
         cols = slice(k_hit * l, (k_hit + 1) * l)
         expected = np.zeros_like(delta)
-        expected[rows, cols] = (2 * symbols.symbols[k_hit, m_hit]
+        expected[rows, cols] = (2 * symbols[k_hit, m_hit]
                                 * codes[m_hit, k_hit].T)
         np.testing.assert_allclose(delta, expected, atol=1e-12)
 
     def test_block_subset_and_empty_subset(self):
         cfg = SystemConfig(n_users=2, spreading_gain=8, n_paths=1,
                            coherence_time=5, seed=5)
-        _, codes, symbols, _, _ = _frame(cfg, 5)
-        sub = build_stacked_matrix(codes, symbols.symbols, blocks=[1, 3])
-        full = build_stacked_matrix(codes, symbols.symbols).matrix
+        _, codes, symbols, _, _, _ = _frame(cfg, 5)
+        sub = build_stacked_matrix(codes, symbols, blocks=[1, 3])
+        full = build_stacked_matrix(codes, symbols).matrix
         np.testing.assert_array_equal(sub.matrix, np.concatenate([full[8:16], full[24:32]]))
         with pytest.raises(ParameterError):
-            build_stacked_matrix(codes, symbols.symbols, blocks=[])
+            build_stacked_matrix(codes, symbols, blocks=[])
 
 
 class TestMlEstimate:
     def test_noiseless_exact_recovery(self):
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=2,
                            coherence_time=8, noise_var=0.0, seed=6)
-        channel, codes, symbols, _, received = _frame(cfg, 6)
-        stacked = build_stacked_matrix(codes, symbols.symbols)
-        est = ml_estimate(stacked, received.chips.reshape(-1))
-        np.testing.assert_allclose(est.gains_flat, channel.vector, atol=1e-10)
+        gains, codes, symbols, _, chips, _ = _frame(cfg, 6)
+        stacked = build_stacked_matrix(codes, symbols)
+        est = ml_estimate(stacked, chips.reshape(-1))
+        np.testing.assert_allclose(est.gains_flat, gains.reshape(-1), atol=1e-10)
         assert est.solve_info.residual < 1e-8
 
     def test_gram_diagonal_is_coherence_time(self):
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=2,
                            coherence_time=12, noise_var=0.1, seed=7)
-        _, codes, symbols, _, received = _frame(cfg, 7)
-        est = ml_estimate(build_stacked_matrix(codes, symbols.symbols),
-                          received.chips.reshape(-1))
+        _, codes, symbols, _, chips, _ = _frame(cfg, 7)
+        est = ml_estimate(build_stacked_matrix(codes, symbols),
+                          chips.reshape(-1))
         np.testing.assert_allclose(np.diag(est.gram), 12.0, atol=1e-12)
         # normal-equation orthogonality holds to solver precision
         assert est.solve_info.residual < 1e-8
@@ -112,11 +129,11 @@ class TestMlEstimate:
     def test_single_code_matches_scalar_least_squares(self):
         cfg = SystemConfig(n_users=1, spreading_gain=16, n_paths=1,
                            coherence_time=5, noise_var=0.2, seed=8)
-        channel, codes, symbols, _, received = _frame(cfg, 8)
-        stacked = build_stacked_matrix(codes, symbols.symbols)
-        est = ml_estimate(stacked, received.chips.reshape(-1))
+        gains, codes, symbols, _, chips, _ = _frame(cfg, 8)
+        stacked = build_stacked_matrix(codes, symbols)
+        est = ml_estimate(stacked, chips.reshape(-1))
         manual = np.vdot(stacked.matrix[:, 0],
-                         received.chips.reshape(-1).conj()).conj() / 5.0
+                         chips.reshape(-1).conj()).conj() / 5.0
         assert est.gains_flat[0] == pytest.approx(manual)
 
     def test_training_only_variance_matches_prediction(self):
@@ -127,55 +144,55 @@ class TestMlEstimate:
         errs = []
         for trial in range(200):
             rng = derive_stream(9, "train-var", trial)
-            channel = sm.generate_channel(cfg, rng)
+            gains = sm.generate_channel(cfg, rng)
             codes = sm.generate_codes(cfg, rng)
             symbols = sm.generate_symbols(cfg, rng)
-            received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-            est = ml_estimate(build_stacked_matrix(codes, symbols.symbols),
-                              received.chips.reshape(-1))
-            errs.append(np.mean(np.abs(est.gains_flat - channel.vector) ** 2))
+            chips, noise = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+            est = ml_estimate(build_stacked_matrix(codes, symbols),
+                              chips.reshape(-1))
+            errs.append(np.mean(np.abs(est.gains_flat - gains.reshape(-1)) ** 2))
         assert np.mean(errs) == pytest.approx(pred, rel=0.10)
 
     def test_underdetermined_raises(self):
         cfg = SystemConfig(n_users=8, spreading_gain=8, n_paths=2,
                            coherence_time=6, seed=10)
-        _, codes, symbols, _, received = _frame(cfg, 10)
-        stacked = build_stacked_matrix(codes, symbols.symbols, blocks=[0])
+        _, codes, symbols, _, chips, _ = _frame(cfg, 10)
+        stacked = build_stacked_matrix(codes, symbols, blocks=[0])
         with pytest.raises(RankError):
-            ml_estimate(stacked, received.chips[[0]].reshape(-1))
+            ml_estimate(stacked, chips[[0]].reshape(-1))
 
 
 class TestDecomposition:
     def test_parts_sum_exactly_in_exact_mode(self):
         cfg = SystemConfig(n_users=5, spreading_gain=32, n_paths=2,
                            coherence_time=12, noise_var=0.3, seed=11)
-        channel, codes, symbols, feedback, received = _frame(cfg, 11, 0.1)
-        s_true = build_stacked_matrix(codes, symbols.symbols)
-        s_fb = build_stacked_matrix(codes, feedback.decisions)
-        est = ml_estimate(s_fb, received.chips.reshape(-1))
-        dec = decompose_error(channel.vector, s_true, s_fb,
-                              received.noise.reshape(-1))
+        gains, codes, symbols, feedback, chips, noise = _frame(cfg, 11, 0.1)
+        s_true = build_stacked_matrix(codes, symbols)
+        s_fb = build_stacked_matrix(codes, feedback)
+        est = ml_estimate(s_fb, chips.reshape(-1))
+        dec = decompose_error(gains.reshape(-1), s_true, s_fb,
+                              noise.reshape(-1))
         np.testing.assert_allclose(dec.total,
-                                   channel.vector - est.gains_flat, atol=1e-9)
+                                   gains.reshape(-1) - est.gains_flat, atol=1e-9)
         np.testing.assert_allclose(dec.total,
                                    dec.feedback_part + dec.noise_part)
 
     def test_no_feedback_error_means_no_feedback_part(self):
         cfg = SystemConfig(n_users=5, spreading_gain=32, n_paths=2,
                            coherence_time=12, noise_var=0.3, seed=12)
-        channel, codes, symbols, feedback, received = _frame(cfg, 12, 0.0)
-        s = build_stacked_matrix(codes, symbols.symbols)
-        dec = decompose_error(channel.vector, s, s, received.noise.reshape(-1))
+        gains, codes, symbols, feedback, chips, noise = _frame(cfg, 12, 0.0)
+        s = build_stacked_matrix(codes, symbols)
+        dec = decompose_error(gains.reshape(-1), s, s, noise.reshape(-1))
         np.testing.assert_allclose(dec.feedback_part, 0.0, atol=1e-12)
 
     def test_no_noise_means_no_noise_part(self):
         cfg = SystemConfig(n_users=5, spreading_gain=32, n_paths=2,
                            coherence_time=12, noise_var=0.0, seed=13)
-        channel, codes, symbols, feedback, received = _frame(cfg, 13, 0.1)
-        s_true = build_stacked_matrix(codes, symbols.symbols)
-        s_fb = build_stacked_matrix(codes, feedback.decisions)
-        dec = decompose_error(channel.vector, s_true, s_fb,
-                              received.noise.reshape(-1))
+        gains, codes, symbols, feedback, chips, noise = _frame(cfg, 13, 0.1)
+        s_true = build_stacked_matrix(codes, symbols)
+        s_fb = build_stacked_matrix(codes, feedback)
+        dec = decompose_error(gains.reshape(-1), s_true, s_fb,
+                              noise.reshape(-1))
         np.testing.assert_allclose(dec.noise_part, 0.0, atol=1e-12)
 
     def test_exact_vs_approx_close_for_long_blocks(self):
@@ -186,16 +203,16 @@ class TestDecomposition:
         rels = []
         for trial in range(30):
             rng = derive_stream(14, "exact-vs-approx", trial)
-            channel = sm.generate_channel(cfg, rng)
+            gains = sm.generate_channel(cfg, rng)
             codes = sm.generate_codes(cfg, rng)
             symbols = sm.generate_symbols(cfg, rng)
-            feedback = sm.corrupt_feedback(symbols, 0.05, rng)
-            received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-            s_true = build_stacked_matrix(codes, symbols.symbols)
-            s_fb = build_stacked_matrix(codes, feedback.decisions)
-            noise = received.noise.reshape(-1)
-            exact = decompose_error(channel.vector, s_true, s_fb, noise)
-            approx = decompose_error(channel.vector, s_true, s_fb, noise,
+            feedback = sm.corrupt_feedback(symbols, 0.05, cfg.n_training, rng)
+            chips, noise = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+            s_true = build_stacked_matrix(codes, symbols)
+            s_fb = build_stacked_matrix(codes, feedback)
+            noise = noise.reshape(-1)
+            exact = decompose_error(gains.reshape(-1), s_true, s_fb, noise)
+            approx = decompose_error(gains.reshape(-1), s_true, s_fb, noise,
                                      mode="approx_im")
             denom = np.linalg.norm(exact.feedback_part)
             if denom > 0:
@@ -206,10 +223,10 @@ class TestDecomposition:
     def test_leave_one_out_fast_matches_refit(self):
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=2,
                            coherence_time=7, noise_var=0.2, seed=15)
-        _, codes, symbols, feedback, received = _frame(cfg, 15, 0.1)
-        stacked = build_stacked_matrix(codes, feedback.decisions)
-        fast = leave_one_out_estimates_fast(stacked, received.chips)
-        naive = _refit_leave_one_out(codes, feedback.decisions, received)
+        _, codes, symbols, feedback, chips, _ = _frame(cfg, 15, 0.1)
+        stacked = build_stacked_matrix(codes, feedback)
+        fast = leave_one_out_estimates_fast(stacked, chips)
+        naive = _refit_leave_one_out(codes, feedback, chips)
         np.testing.assert_allclose(fast, naive, atol=1e-9)
 
     def test_leave_one_out_fast_rejects_ill_conditioned_gram(self):
@@ -235,21 +252,21 @@ class TestComplexReferences:
                        noise_var=0.2, seed=16)
 
     def test_ml_estimate_matches_complex_lstsq(self):
-        _, codes, _, feedback, received = _frame(self.CFG, 16, 0.1)
-        stacked = build_stacked_matrix(codes, feedback.decisions)
-        chips = received.chips.reshape(-1)
+        _, codes, _, feedback, chips, _ = _frame(self.CFG, 16, 0.1)
+        stacked = build_stacked_matrix(codes, feedback)
+        chips = chips.reshape(-1)
         est = ml_estimate(stacked, chips)
         ref = np.linalg.lstsq(stacked.matrix.astype(complex), chips, rcond=None)[0]
         np.testing.assert_allclose(est.gains_flat, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "approx_im"])
     def test_decompose_error_matches_complex_products(self, mode):
-        channel, codes, symbols, feedback, received = _frame(self.CFG, 16, 0.1)
-        s_true = build_stacked_matrix(codes, symbols.symbols)
-        s_fb = build_stacked_matrix(codes, feedback.decisions)
-        noise = received.noise.reshape(-1)
+        gains, codes, symbols, feedback, chips, noise = _frame(self.CFG, 16, 0.1)
+        s_true = build_stacked_matrix(codes, symbols)
+        s_fb = build_stacked_matrix(codes, feedback)
+        noise = noise.reshape(-1)
         s_hat = s_fb.matrix.astype(complex)
-        proj_fb = s_hat.T @ ((s_true.matrix.astype(complex) - s_hat) @ channel.vector)
+        proj_fb = s_hat.T @ ((s_true.matrix.astype(complex) - s_hat) @ gains.reshape(-1))
         proj_noise = s_hat.T @ noise
         if mode == "exact":
             gram = s_hat.T @ s_hat
@@ -258,7 +275,7 @@ class TestComplexReferences:
         else:
             ref_fb = -proj_fb / self.CFG.coherence_time
             ref_noise = -proj_noise / self.CFG.coherence_time
-        dec = decompose_error(channel.vector, s_true, s_fb, noise, mode=mode)
+        dec = decompose_error(gains.reshape(-1), s_true, s_fb, noise, mode=mode)
         np.testing.assert_allclose(dec.feedback_part, ref_fb, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dec.noise_part, ref_noise, rtol=0, atol=1e-12)
 
@@ -367,14 +384,14 @@ def test_truth_debias_halves_mse_in_feedback_dominated_regime():
     raw, fixed = [], []
     for trial in range(40):
         rng = derive_stream(18, "debias", trial)
-        channel = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        feedback = sm.corrupt_feedback(symbols, pe, rng)
-        received = sm.synthesize_received(channel, codes, symbols, cfg, rng)
-        est = ml_estimate(build_stacked_matrix(codes, feedback.decisions),
-                          received.chips.reshape(-1))
-        better = est.gains_flat + 2.0 * pe * channel.vector
-        raw.append(np.mean(np.abs(channel.vector - est.gains_flat) ** 2))
-        fixed.append(np.mean(np.abs(channel.vector - better) ** 2))
+        feedback = sm.corrupt_feedback(symbols, pe, cfg.n_training, rng)
+        chips, noise = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+        est = ml_estimate(build_stacked_matrix(codes, feedback),
+                          chips.reshape(-1))
+        better = est.gains_flat + 2.0 * pe * gains.reshape(-1)
+        raw.append(np.mean(np.abs(gains.reshape(-1) - est.gains_flat) ** 2))
+        fixed.append(np.mean(np.abs(gains.reshape(-1) - better) ** 2))
     assert np.mean(fixed) < 0.5 * np.mean(raw)

@@ -14,8 +14,8 @@ def _random_gram(n_users, spreading_gain, coherence_time, seed, error_rate=0.1):
     rng = derive_stream(seed, "solver-gram", 0)
     codes = sm.generate_codes(cfg, rng)
     symbols = sm.generate_symbols(cfg, rng)
-    feedback = sm.corrupt_feedback(symbols, error_rate, rng)
-    stacked = build_stacked_matrix(codes, feedback.decisions)
+    feedback = sm.corrupt_feedback(symbols, error_rate, cfg.n_training, rng)
+    stacked = build_stacked_matrix(codes, feedback)
     rhs = rng.standard_normal(cfg.n_gains) + 1j * rng.standard_normal(cfg.n_gains)
     return stacked.matrix.T @ stacked.matrix, rhs
 
@@ -101,7 +101,7 @@ def test_largest_eigenvalue_matches_equivalent_load_limit():
     for _ in range(5):
         codes = sm.generate_codes(cfg, rng)
         symbols = sm.generate_symbols(cfg, rng)
-        stacked = build_stacked_matrix(codes, symbols.symbols)
+        stacked = build_stacked_matrix(codes, symbols)
         gram = stacked.matrix.T @ stacked.matrix
         tops.append(np.linalg.eigvalsh(gram)[-1] / cfg.coherence_time)
     expected = (1 + np.sqrt(cfg.stacked_load)) ** 2

@@ -18,7 +18,7 @@ class TestChannel:
         # variance of each gain is 1/L, so |a|^2 averages to 1 at L=1
         cfg = _cfg(n_users=1000, n_paths=1)
         rng = derive_stream(1, "chan", 0)
-        samples = np.concatenate([sm.generate_channel(cfg, rng).gains.ravel()
+        samples = np.concatenate([sm.generate_channel(cfg, rng).ravel()
                                   for _ in range(100)])
         power = np.abs(samples) ** 2
         se = power.std() / np.sqrt(len(power))
@@ -27,29 +27,23 @@ class TestChannel:
     def test_many_paths_power_concentrates(self):
         cfg = _cfg(n_users=1, n_paths=50)
         rng = derive_stream(2, "chan", 0)
-        totals = np.array([np.sum(np.abs(sm.generate_channel(cfg, rng).gains) ** 2)
+        totals = np.array([np.sum(np.abs(sm.generate_channel(cfg, rng)) ** 2)
                            for _ in range(10_000)])
         assert abs(totals.mean() - 1.0) < 0.01
 
     def test_real_imag_parts_balanced(self):
         cfg = _cfg(n_users=10, n_paths=4)
         rng = derive_stream(3, "chan", 0)
-        gains = np.concatenate([sm.generate_channel(cfg, rng).gains.ravel()
+        gains = np.concatenate([sm.generate_channel(cfg, rng).ravel()
                                 for _ in range(500)])
         assert gains.real.var() == pytest.approx(1 / 8, rel=0.05)
         assert gains.imag.var() == pytest.approx(1 / 8, rel=0.05)
 
     def test_deterministic_given_stream(self):
         cfg = _cfg()
-        g1 = sm.generate_channel(cfg, derive_stream(5, "x", 0)).gains
-        g2 = sm.generate_channel(cfg, derive_stream(5, "x", 0)).gains
+        g1 = sm.generate_channel(cfg, derive_stream(5, "x", 0))
+        g2 = sm.generate_channel(cfg, derive_stream(5, "x", 0))
         np.testing.assert_array_equal(g1, g2)
-
-    def test_vector_is_user_major(self):
-        cfg = _cfg(n_users=3, n_paths=2)
-        ch = sm.generate_channel(cfg, derive_stream(6, "x", 0))
-        vec = ch.vector
-        assert vec[2] == ch.gains[1, 0] and vec[3] == ch.gains[1, 1]
 
 
 class TestCodes:
@@ -118,45 +112,45 @@ class TestReceived:
     def test_single_user_single_path_noiseless(self):
         cfg = _cfg(n_users=1, n_paths=1, noise_var=0.0)
         rng = derive_stream(11, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
-        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        chips, _ = sm.synthesize_received(gains, codes, syms, cfg, rng)
         for t in range(cfg.coherence_time):
-            expected = syms.symbols[0, t] * ch.gains[0, 0] * codes[t, 0, 0]
-            np.testing.assert_allclose(rx.chips[t], expected, atol=1e-14)
+            expected = syms[0, t] * gains[0, 0] * codes[t, 0, 0]
+            np.testing.assert_allclose(chips[t], expected, atol=1e-14)
 
     def test_multiuser_multipath_matches_per_period_sum(self):
         cfg = _cfg(n_users=5, n_paths=3, coherence_time=7, noise_var=0.0)
         rng = derive_stream(14, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
-        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        chips, _ = sm.synthesize_received(gains, codes, syms, cfg, rng)
         for t in range(cfg.coherence_time):
-            expected = sum(syms.symbols[k, t] * ch.gains[k, l] * codes[t, k, l]
+            expected = sum(syms[k, t] * gains[k, l] * codes[t, k, l]
                            for k in range(cfg.n_users) for l in range(cfg.n_paths))
-            np.testing.assert_allclose(rx.chips[t], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(chips[t], expected, rtol=0, atol=1e-12)
 
     def test_noise_power_per_chip(self):
         cfg = _cfg(noise_var=0.5, coherence_time=100, spreading_gain=100)
         rng = derive_stream(12, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
-        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
-        power = np.abs(rx.noise) ** 2
+        chips, noise = sm.synthesize_received(gains, codes, syms, cfg, rng)
+        power = np.abs(noise) ** 2
         assert power.mean() == pytest.approx(0.5, rel=0.05)
 
     def test_noise_circularly_symmetric(self):
         cfg = _cfg(noise_var=1.0, coherence_time=100, spreading_gain=100)
         rng = derive_stream(13, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
-        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
-        re = rx.noise.real.ravel()
-        im = rx.noise.imag.ravel()
+        chips, noise = sm.synthesize_received(gains, codes, syms, cfg, rng)
+        re = noise.real.ravel()
+        im = noise.imag.ravel()
         corr = np.mean(re * im)
         se = np.std(re * im) / np.sqrt(re.size)
         assert abs(corr) < 5 * se
@@ -165,37 +159,37 @@ class TestReceived:
         # full recomputation from stored ingredients
         cfg = _cfg(n_users=5, n_paths=3, noise_var=0.2)
         rng = derive_stream(14, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
-        rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
+        chips, noise = sm.synthesize_received(gains, codes, syms, cfg, rng)
         t = 4
-        direct = rx.noise[t].copy()
+        direct = noise[t].copy()
         for k in range(cfg.n_users):
             for l in range(cfg.n_paths):
-                direct = direct + syms.symbols[k, t] * ch.gains[k, l] * codes[t, k, l]
-        np.testing.assert_allclose(rx.chips[t], direct, atol=1e-12)
+                direct = direct + syms[k, t] * gains[k, l] * codes[t, k, l]
+        np.testing.assert_allclose(chips[t], direct, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         cfg = _cfg()
         rng = derive_stream(15, "rx", 0)
-        ch = sm.generate_channel(cfg, rng)
+        gains = sm.generate_channel(cfg, rng)
         codes = sm.generate_codes(cfg, rng)
         syms = sm.generate_symbols(cfg, rng)
         other = _cfg(n_users=5)
         with pytest.raises(ConfigurationError):
-            sm.synthesize_received(ch, codes, syms, other, rng)
+            sm.synthesize_received(gains, codes, syms, other, rng)
 
     def test_bit_reproducible_from_seed(self):
         cfg = _cfg(noise_var=0.3)
         draws = []
         for _ in range(2):
             rng = derive_stream(16, "rx", 7)
-            ch = sm.generate_channel(cfg, rng)
+            gains = sm.generate_channel(cfg, rng)
             codes = sm.generate_codes(cfg, rng)
             syms = sm.generate_symbols(cfg, rng)
-            rx = sm.synthesize_received(ch, codes, syms, cfg, rng)
-            draws.append((rx.chips, syms.symbols))
+            chips, _ = sm.synthesize_received(gains, codes, syms, cfg, rng)
+            draws.append((chips, syms))
         (chips1, syms1), (chips2, syms2) = draws
         np.testing.assert_array_equal(chips1, chips2)
         np.testing.assert_array_equal(syms1, syms2)
@@ -205,38 +199,38 @@ class TestFeedback:
     def test_zero_rate_is_identity(self):
         cfg = _cfg()
         syms = sm.generate_symbols(cfg, derive_stream(17, "fb", 0))
-        fb = sm.corrupt_feedback(syms, 0.0, derive_stream(17, "fb", 1))
-        np.testing.assert_array_equal(fb.decisions, syms.symbols)
-        assert fb.realized_error_rate == 0.0
+        fb = sm.corrupt_feedback(syms, 0.0, cfg.n_training, derive_stream(17, "fb", 1))
+        np.testing.assert_array_equal(fb, syms)
+        assert np.mean(fb != syms) == 0.0
 
     def test_error_moments(self):
         # realized rate ~ Pe, E{b*db} ~ 2Pe, E{db^2} ~ 4Pe
         cfg = _cfg(n_users=100, coherence_time=1000)
         syms = sm.generate_symbols(cfg, derive_stream(18, "fb", 0))
-        fb = sm.corrupt_feedback(syms, 0.1, derive_stream(18, "fb", 1))
-        db = (syms.symbols - fb.decisions).astype(float)
+        fb = sm.corrupt_feedback(syms, 0.1, cfg.n_training, derive_stream(18, "fb", 1))
+        db = (syms - fb).astype(float)
         n = db.size
-        assert abs(fb.realized_error_rate - 0.1) < 3 * np.sqrt(0.1 * 0.9 / n)
-        bdb = syms.symbols * db
+        assert abs(np.mean(fb != syms) - 0.1) < 3 * np.sqrt(0.1 * 0.9 / n)
+        bdb = syms * db
         assert bdb.mean() == pytest.approx(0.2, abs=3 * bdb.std() / np.sqrt(n))
         assert np.isin(db, [-2.0, 0.0, 2.0]).all()
 
     def test_half_rate_second_moment(self):
         cfg = _cfg(n_users=100, coherence_time=1000)
         syms = sm.generate_symbols(cfg, derive_stream(19, "fb", 0))
-        fb = sm.corrupt_feedback(syms, 0.5, derive_stream(19, "fb", 1))
-        db = (syms.symbols - fb.decisions).astype(float)
+        fb = sm.corrupt_feedback(syms, 0.5, cfg.n_training, derive_stream(19, "fb", 1))
+        db = (syms - fb).astype(float)
         assert (db ** 2).mean() == pytest.approx(2.0, rel=0.02)
 
     def test_training_periods_protected(self):
         cfg = _cfg(n_training=4, coherence_time=10, n_users=200)
         syms = sm.generate_symbols(cfg, derive_stream(20, "fb", 0))
-        fb = sm.corrupt_feedback(syms, 0.5, derive_stream(20, "fb", 1))
-        np.testing.assert_array_equal(fb.decisions[:, :4], syms.symbols[:, :4])
-        assert (fb.decisions[:, 4:] != syms.symbols[:, 4:]).any()
+        fb = sm.corrupt_feedback(syms, 0.5, cfg.n_training, derive_stream(20, "fb", 1))
+        np.testing.assert_array_equal(fb[:, :4], syms[:, :4])
+        assert (fb[:, 4:] != syms[:, 4:]).any()
 
     def test_rate_out_of_range_rejected(self):
         cfg = _cfg()
         syms = sm.generate_symbols(cfg, derive_stream(21, "fb", 0))
         with pytest.raises(ParameterError):
-            sm.corrupt_feedback(syms, 0.6, derive_stream(21, "fb", 1))
+            sm.corrupt_feedback(syms, 0.6, cfg.n_training, derive_stream(21, "fb", 1))
