@@ -254,13 +254,15 @@ def _mode(name: str) -> str:
 
 
 def _grid(text: str) -> tuple[float, float, int]:
-    """argparse type: ``lo:hi:count``."""
+    """argparse type: ``lo:hi:count`` with a positive count."""
     try:
         lo, hi, count = text.split(":")
+        if int(count) < 1:
+            raise ValueError
         return float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{text!r}: expected lo:hi:count, e.g. 0.2:4.0:16") from None
+            f"{text!r}: expected lo:hi:count with count >= 1, e.g. 0.2:4.0:16") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

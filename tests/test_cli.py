@@ -125,8 +125,10 @@ def test_config_file_override(tmp_path):
     ["capacity", "--modes", "iterative,bogus", "--coherence-times", "10",
      "--trials", "1", "--iterations", "1"],
     ["gcurve", "--grid", "1:2"],
+    ["gcurve", "--grid", "1:2:0"],
     ["fig2", "--coherence-times", "10,abc"],
-], ids=["capacity_unknown_mode", "gcurve_short_grid", "fig2_non_integer_m"])
+], ids=["capacity_unknown_mode", "gcurve_short_grid", "gcurve_empty_grid",
+        "fig2_non_integer_m"])
 def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as info:
