@@ -10,8 +10,8 @@ channel, then LMMSE at ``d = 0`` or PIC + MRC with the fed-back decisions
 after; then the LLRs of every block in one call (the output model's
 variances depend only on the stage's error rate), and one decode of all
 codewords, whose re-encoded decisions overwrite the data columns of the
-believed symbols.  A trial whose
-decisions repeat stops, and its later stages repeat its last statistics.
+believed symbols.  A trial whose decisions repeat stops, and its later
+stages repeat its last statistics.
 
 Each block is drawn once per trial.  Its code signs are kept as int8
 (``blocks*M*K*L*N`` bytes: 2.9 MB at K=14, N=32, L=5, M=20 and 64 blocks),
