@@ -17,6 +17,19 @@ covariance expressions.
 statistics are conditional on the channel/code realization (only symbols,
 feedback errors and noise are random), so the sampler fixes (gains, codes)
 per outer realization and averages the per-realization statistics.
+
+Because the codes are fixed, the sampler works in the Gram domain.  With
+C_t the (K*L, N) code matrix of period t, G_t = C_t C_t^T (formed once per
+realization), and e_t, e_hat_t the true and believed signs repeated over
+the L paths, the rows of period t in S_hat are (e_hat_t * C_t)^T, so
+
+    R_hat            = sum_t (e_hat_t e_hat_t^T) o G_t,
+    S_hat^T (dS a)   = sum_t e_hat_t o G_t ((e_t - e_hat_t) o a),
+    S_hat^T n        = sum_t e_hat_t o (C_t n_t),
+
+(o is the entrywise product).  A trial then costs O(M (K*L)^2) instead of
+the O(M N (K*L)^2) of the stacked products; the stacked `decompose_error`
+splits one trial per call as a check (`EstimationStats.split_gap`).
 """
 
 from __future__ import annotations
@@ -61,14 +74,19 @@ def build_stacked_matrix(codes: np.ndarray,
         raise ParameterError(f"symbols shape {symbols.shape}, expected {(k, m)}")
     if blocks is None:
         blocks = np.arange(m)
+        picked, signs = codes, symbols.T
     else:
         blocks = np.asarray(blocks, dtype=int)
         if blocks.size == 0:
             raise ParameterError("block subset must be nonempty")
-    signed = codes[blocks] * symbols.T[blocks, :, None, None]
-    mat = signed.reshape(len(blocks), k * l, n).transpose(0, 2, 1)
-    return StackedMatrix(matrix=np.ascontiguousarray(mat.reshape(len(blocks) * n, k * l)),
-                         blocks=blocks)
+        picked, signs = codes[blocks], symbols.T[blocks]
+    # one pass from a transposed view, rows (period, chip) and columns (user,
+    # path); the signs repeat over the L paths, and a +-1 product is exact
+    dtype = np.result_type(codes, symbols)
+    out = np.empty((len(blocks), n, k * l), dtype=dtype)
+    np.multiply(picked.reshape(len(blocks), k * l, n).transpose(0, 2, 1),
+                np.repeat(signs.astype(dtype), l, axis=1)[:, None, :], out=out)
+    return StackedMatrix(matrix=out.reshape(len(blocks) * n, k * l), blocks=blocks)
 
 
 @dataclass
@@ -199,6 +217,7 @@ class EstimationStats:
     cross_norm: float             # normalized |cross-cov(da_f, da_n)| trace
     realizations: int
     trials_per_realization: int
+    split_gap: float              # Gram-domain vs stacked split, largest relative gap
 
 
 def _complex_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,6 +226,32 @@ def _complex_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = samples - mean
     cov = centered.T @ centered.conj() / (samples.shape[0] - 1)
     return mean, cov
+
+
+def _gram_domain_split(periods: np.ndarray, grams: np.ndarray, gains_flat: np.ndarray,
+                       symbols: np.ndarray, feedback: np.ndarray, noise: np.ndarray,
+                       mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (feedback, noise) parts of :func:`decompose_error` from per-period Grams.
+
+    ``periods`` holds the (M, KL, N) code matrices C_t and ``grams`` their
+    Grams G_t = C_t C_t^T; ``noise`` is the (M, N) noise record.
+    """
+    n_paths = len(gains_flat) // symbols.shape[0]
+    believed = np.repeat(feedback.T.astype(float), n_paths, axis=1)     # e_hat_t
+    wrong = np.repeat(symbols.T - feedback.T, n_paths, axis=1) * gains_flat
+    per_period = np.stack([_real_matmul(grams, wrong[..., None])[..., 0],
+                           _real_matmul(periods, noise[..., None])[..., 0]], axis=-1)
+    proj = np.einsum("ti,tic->ic", believed, per_period)
+    if mode == "exact":
+        gram = np.einsum("ti,tij,tj->ij", believed, grams, believed)
+        parts = -solve_normal_equations(gram, proj).solution
+    else:
+        parts = -proj / len(believed)
+    return parts[:, 0], parts[:, 1]
+
+
+def _relative_gap(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(got - ref) / max(np.linalg.norm(ref), np.finfo(float).tiny))
 
 
 def empirical_estimation_stats(config: SystemConfig,
@@ -224,7 +269,7 @@ def empirical_estimation_stats(config: SystemConfig,
     if trials < 2 * realizations:
         raise ParameterError("need at least two trials per realization")
     inner = trials // realizations
-    kl = config.n_gains
+    m, kl, n = config.coherence_time, config.n_gains, config.spreading_gain
 
     bias_ratios = []
     d_f = []
@@ -238,6 +283,8 @@ def empirical_estimation_stats(config: SystemConfig,
         gains = sm.generate_channel(config, rng_r)
         codes = sm.generate_codes(config, rng_r)
         a = gains.reshape(-1)
+        periods = codes.reshape(m, kl, n)
+        grams = periods @ periods.transpose(0, 2, 1)
 
         fb_parts = np.empty((inner, kl), dtype=complex)
         nz_parts = np.empty((inner, kl), dtype=complex)
@@ -246,11 +293,15 @@ def empirical_estimation_stats(config: SystemConfig,
             symbols = sm.generate_symbols(config, rng)
             feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
             _, noise = sm.synthesize_received(gains, codes, symbols, config, rng)
-            s_true = build_stacked_matrix(codes, symbols)
-            s_fb = build_stacked_matrix(codes, feedback)
-            dec = decompose_error(a, s_true, s_fb, noise.reshape(-1), mode=mode)
-            fb_parts[j] = dec.feedback_part
-            nz_parts[j] = dec.noise_part
+            fb_parts[j], nz_parts[j] = _gram_domain_split(periods, grams, a, symbols,
+                                                          feedback, noise, mode)
+            if r == 0 and j == 0:
+                # the stacked split of one trial checks the Gram algebra in every run
+                dec = decompose_error(a, build_stacked_matrix(codes, symbols),
+                                      build_stacked_matrix(codes, feedback),
+                                      noise.reshape(-1), mode)
+                split_gap = max(_relative_gap(fb_parts[0], dec.feedback_part),
+                                _relative_gap(nz_parts[0], dec.noise_part))
 
         mean_f, cov_f = _complex_cov(fb_parts)
         mean_n, cov_n = _complex_cov(nz_parts)
@@ -281,4 +332,5 @@ def empirical_estimation_stats(config: SystemConfig,
         cross_norm=float(np.mean(cross)),
         realizations=realizations,
         trials_per_realization=inner,
+        split_gap=split_gap,
     )

@@ -1,5 +1,7 @@
 import itercdma  # noqa: F401  (first, so its BLAS thread policy precedes numpy)
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def assert_same_fields(first, second):
+    """Two dataclass results agree bit for bit in every field, arrays included."""
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        assert np.array_equal(a, b), field.name
 
 
 @pytest.fixture(scope="session")

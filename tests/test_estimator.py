@@ -4,8 +4,9 @@ import pytest
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from itercdma.estimator import (build_stacked_matrix, decompose_error,
-                                empirical_estimation_stats,
+from conftest import assert_same_fields
+from itercdma.estimator import (_gram_domain_split, build_stacked_matrix,
+                                decompose_error, empirical_estimation_stats,
                                 leave_one_out_estimates_fast, ml_estimate)
 from itercdma.exceptions import ParameterError, RankError
 
@@ -104,6 +105,19 @@ class TestStackedMatrix:
         np.testing.assert_array_equal(sub.matrix, np.concatenate([full[8:16], full[24:32]]))
         with pytest.raises(ParameterError):
             build_stacked_matrix(codes, symbols, blocks=[])
+
+    @pytest.mark.parametrize("blocks", [None, [1, 3, 4], [5, 0, 3]],
+                             ids=["all", "subset", "permuted"])
+    def test_one_pass_matches_copy_then_transpose(self, blocks):
+        cfg = SystemConfig(n_users=3, spreading_gain=8, n_paths=4,
+                           coherence_time=6, seed=7)
+        _, codes, symbols, _, _, _ = _frame(cfg, 7)
+        picked = np.arange(6) if blocks is None else np.asarray(blocks)
+        signed = codes[picked] * symbols.T[picked, :, None, None]
+        ref = signed.reshape(len(picked), 12, 8).transpose(0, 2, 1).reshape(-1, 12)
+        stacked = build_stacked_matrix(codes, symbols, blocks=blocks)
+        assert np.array_equal(stacked.matrix, ref)
+        assert np.array_equal(stacked.blocks, picked)
 
 
 class TestMlEstimate:
@@ -280,6 +294,44 @@ class TestComplexReferences:
         np.testing.assert_allclose(dec.noise_part, ref_noise, rtol=0, atol=1e-12)
 
 
+class TestGramDomainSplit:
+    """The per-period Gram split of the sampler against the stacked oracle."""
+
+    @pytest.mark.parametrize("code_model", ["independent", "shifted"])
+    @pytest.mark.parametrize("mode", ["exact", "approx_im"])
+    def test_matches_stacked_decompose_error(self, mode, code_model):
+        cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=3,
+                           coherence_time=10, n_training=2, noise_var=0.3,
+                           code_model=code_model, seed=19)
+        for trial in range(3):
+            gains, codes, symbols, feedback, _, noise = _frame(
+                cfg, 19, 0.2, tag=f"gram-split/{trial}")
+            assert np.any(feedback != symbols)
+            periods = codes.reshape(10, 12, 16)
+            grams = periods @ periods.transpose(0, 2, 1)
+            a = gains.reshape(-1)
+            fb, nz = _gram_domain_split(periods, grams, a, symbols, feedback, noise, mode)
+            dec = decompose_error(a, build_stacked_matrix(codes, symbols),
+                                  build_stacked_matrix(codes, feedback),
+                                  noise.reshape(-1), mode)
+            np.testing.assert_allclose(fb, dec.feedback_part, rtol=1e-12)
+            np.testing.assert_allclose(nz, dec.noise_part, rtol=1e-12)
+
+    def test_split_gap_at_stage_checks_scale(self):
+        cfg = SystemConfig(n_users=20, spreading_gain=100, n_paths=5,
+                           coherence_time=30, noise_var=SNR5,
+                           code_model="shifted", seed=0)
+        st = empirical_estimation_stats(cfg, 0.1, trials=4, realizations=2)
+        assert st.split_gap < 1e-10
+
+    def test_underdetermined_exact_split_raises(self):
+        # M*N = 8 equations for K*L = 16 unknowns
+        cfg = SystemConfig(n_users=8, spreading_gain=8, n_paths=2,
+                           coherence_time=1, noise_var=0.1, seed=20)
+        with pytest.raises(RankError):
+            empirical_estimation_stats(cfg, 0.1, trials=4, realizations=2)
+
+
 class TestEstimationStats:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -326,6 +378,20 @@ class TestEstimationStats:
         _, st = stats
         assert st.mean_bias_ratio.real == pytest.approx(0.2, rel=0.15)
         assert abs(st.mean_bias_ratio.imag) < 0.02
+
+    def test_same_inputs_give_identical_stats(self):
+        cfg = SystemConfig(n_users=6, spreading_gain=24, n_paths=3,
+                           coherence_time=9, n_training=1, noise_var=0.2, seed=21)
+
+        def run(experiment_id):
+            return empirical_estimation_stats(cfg, 0.1, trials=12, realizations=3,
+                                              experiment_id=experiment_id)
+
+        first = run("repro")
+        assert_same_fields(first, run("repro"))
+        other = run("repro-other")
+        assert other.delta_f != first.delta_f
+        assert not np.array_equal(other.sigma_n, first.sigma_n)
 
 
 def test_feedback_covariance_entries_match_prediction():

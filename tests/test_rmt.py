@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_fields
 from itercdma import rmt
-from itercdma.config import SystemConfig
+from itercdma import system_model as sm
+from itercdma.config import SystemConfig, derive_stream
+from itercdma.estimator import build_stacked_matrix
 from itercdma.exceptions import ParameterError
 
 
@@ -122,3 +125,33 @@ def test_shifted_model_gap_shrinks_with_user_count():
         gaps.append(rel.mean())
     assert gaps[-1] < gaps[0]
     assert np.polyfit(np.log([10, 20, 40, 80]), gaps, 1)[0] < 0
+
+
+@pytest.mark.parametrize("code_model", ["independent", "shifted"])
+def test_trace_moments_match_eigenvalue_moments(code_model):
+    cfg = SystemConfig(n_users=6, spreading_gain=16, n_paths=3, coherence_time=4,
+                       code_model=code_model, seed=34)
+    rng = derive_stream(34, "trace-moments", 0)
+    codes = sm.generate_codes(cfg, rng)
+    s = build_stacked_matrix(codes, sm.generate_symbols(cfg, rng)).matrix
+    eigs = np.linalg.eigvalsh(s.T @ s / cfg.coherence_time)
+    ref = np.array([np.sum(eigs ** m) for m in range(1, rmt.MAX_MOMENT_ORDER + 1)])
+    ref /= cfg.coherence_time * cfg.spreading_gain
+    for max_order in (1, 2, 5, rmt.MAX_MOMENT_ORDER):
+        got = rmt._trial_moments(cfg, max_order, derive_stream(34, "trace-moments", 0))
+        np.testing.assert_allclose(got, ref[:max_order], rtol=1e-10)
+
+
+def test_same_inputs_give_identical_report():
+    cfg = SystemConfig(n_users=10, spreading_gain=20, n_paths=2, coherence_time=4,
+                       seed=35)
+
+    def run(experiment_id):
+        return rmt.empirical_eigen_moments(cfg, max_order=4, trials=5,
+                                           experiment_id=experiment_id)
+
+    first = run("repro")
+    assert_same_fields(first, run("repro"))
+    other = run("repro-other")
+    assert not np.array_equal(other.empirical_independent, first.empirical_independent)
+    assert not np.array_equal(other.empirical_shifted, first.empirical_shifted)
