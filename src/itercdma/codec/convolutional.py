@@ -109,7 +109,7 @@ class ConvolutionalCode:
                       + soft[:, 2 * start + 1:2 * stop:2].T[:, :, None] * self._arrive_signs[1]
                       ).reshape(stop - start, batch, self.n_states, 2)
             for t in range(start, stop):
-                np.take(metrics, ps, axis=1, out=arrive)
+                metrics.take(ps, axis=1, out=arrive)
                 arrive += branch[t - start]
                 # a tie keeps the first branch, as argmax would
                 np.greater(arrive[:, :, 1], arrive[:, :, 0], out=survivors[t])

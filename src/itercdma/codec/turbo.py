@@ -104,7 +104,7 @@ class RscCode:
                      + par_both[start:stop] * self._sweep_parity_signs
                      ).reshape(stop - start, batch, 2 * n_states, 2)
             for r in range(start, min(stop, k - 1)):
-                np.take(sweep[r], self._sweep_index, axis=1, out=cand)
+                sweep[r].take(self._sweep_index, axis=1, out=cand)
                 cand += gamma[r - start]
                 np.logaddexp(cand[:, :, 0], cand[:, :, 1], out=sweep[r + 1])
                 halves = sweep[r + 1].reshape(batch, 2, n_states)
