@@ -34,6 +34,7 @@ from .codec.gcurve import GCurve
 from .config import SystemConfig, derive_stream, noise_var_from_snr_db
 from .detector import measure_pic_stats
 from .estimator import empirical_estimation_stats
+from .exceptions import ItercdmaError
 from .pipeline import capacity_search
 from .pipeline import MODES as PIPELINE_MODES
 
@@ -75,11 +76,11 @@ def cmd_fig2(args) -> int:
     cfg = _base_config(args, n_users=20, spreading_gain=100, n_paths=5,
                        coherence_time=10, noise_var=noise_var_from_snr_db(5.0),
                        code_model="shifted", seed=20)
+    configs = [dataclasses.replace(cfg, coherence_time=m) for m in args.coherence_times]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for m in args.coherence_times:
-        cfg_m = dataclasses.replace(cfg, coherence_time=m)
+    for m, cfg_m in zip(args.coherence_times, configs):
         stats = empirical_estimation_stats(cfg_m, args.error_rate, args.trials,
                                            realizations=args.realizations)
         pred_f = analysis.feedback_estimate_variance(
@@ -104,11 +105,12 @@ def cmd_fig3(args) -> int:
     cfg = _base_config(args, n_users=30, spreading_gain=30, n_paths=5,
                        coherence_time=50, noise_var=noise_var_from_snr_db(10.0),
                        code_model="independent", seed=30)
+    configs = [dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
+               for snr_db in args.snrs_db]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for snr_db in args.snrs_db:
-        cfg_s = dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
+    for snr_db, cfg_s in zip(args.snrs_db, configs):
         for pe in args.error_rates:
             stats = measure_pic_stats(cfg_s, pe, frames=args.frames,
                                       realizations=args.realizations)
@@ -163,14 +165,15 @@ def cmd_capacity(args) -> int:
                        coherence_time=10, n_training=2,
                        noise_var=noise_var_from_snr_db(5.0),
                        code_model="independent", seed=10)
+    configs = [dataclasses.replace(cfg, coherence_time=m,
+                                   n_training=max(1, round(cfg.training_fraction * m)))
+               for m in args.coherence_times]
+    g = GCurve.load_csv(args.gcurve) if args.gcurve else None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     codec = make_codec(_codec_spec(args.codec))
-    g = GCurve.load_csv(args.gcurve) if args.gcurve else None
     rows = []
-    for m in args.coherence_times:
-        cfg_m = dataclasses.replace(cfg, coherence_time=m,
-                                    n_training=max(1, round(cfg.training_fraction * m)))
+    for m, cfg_m in zip(args.coherence_times, configs):
         for mode in args.modes:
             result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
                                      g=g, trials=args.trials,
@@ -188,9 +191,9 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_fixedpoint(args) -> int:
+    g = GCurve.load_csv(args.gcurve)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    g = GCurve.load_csv(args.gcurve)
     noise_var = (noise_var_from_snr_db(args.snr_db) if args.snr_db is not None
                  else args.noise_var)
     coeffs = analysis.map_coefficients(noise_var, args.load, args.paths,
@@ -334,8 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a library error ends it with one line on stderr and status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ItercdmaError as exc:
+        print(f"itercdma {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

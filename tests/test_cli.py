@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import itercdma
 from itercdma.cli import main
 from itercdma.codec.gcurve import GCurve, make_gcurve
 
@@ -136,3 +140,24 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     assert info.value.code == 2
     assert not out.exists()
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--coherence-times", "0"],
+     "itercdma fig2: error: coherence_time must be positive"),
+    (["fixedpoint", "--gcurve", "{tmp}/bad.csv"],
+     "itercdma fixedpoint: error: {tmp}/bad.csv, line 1: "),
+], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve"])
+def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
+    (tmp_path / "bad.csv").write_text("not,a,curve\n")
+    out = tmp_path / "never"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    src = str(Path(itercdma.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "itercdma.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message.format(tmp=tmp_path))
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
