@@ -226,10 +226,10 @@ def cmd_fixedpoint(args) -> int:
 def cmd_rmt(args) -> int:
     cfg = _base_config(args, n_users=40, spreading_gain=100, n_paths=5,
                        coherence_time=10, seed=40)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = rmt.empirical_eigen_moments(cfg, max_order=args.max_order,
                                          trials=args.trials)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "rmt_moments.csv"
     report.save_csv(path)
     for i, m in enumerate(report.orders):

@@ -130,6 +130,7 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
     """
     if trials < 2:
         raise ParameterError("need at least two trials for standard errors")
+    analytic = mp_moments(config.stacked_load, max_order)   # checks max_order first
     samples = {}
     for model in ("independent", "shifted"):
         cfg = replace(config, code_model=model)
@@ -140,7 +141,6 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
         samples[model] = rows
 
     orders = np.arange(1, max_order + 1)
-    analytic = mp_moments(config.stacked_load, max_order)
     bounds = bound_constant ** orders.astype(float) * orders.astype(float) ** (orders - 2.0)
     return MomentReport(
         stacked_load=config.stacked_load,

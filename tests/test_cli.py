@@ -147,7 +147,9 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fig2: error: coherence_time must be positive"),
     (["fixedpoint", "--gcurve", "{tmp}/bad.csv"],
      "itercdma fixedpoint: error: {tmp}/bad.csv, line 1: "),
-], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve"])
+    (["rmt", "--max-order", "13"],
+     "itercdma rmt: error: moment order 13 exceeds the cost guard (12)"),
+], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     out = tmp_path / "never"
