@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_fields
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from conftest import assert_same_fields
 from itercdma.estimator import (_gram_domain_split, build_stacked_matrix,
                                 decompose_error, empirical_estimation_stats,
                                 leave_one_out_estimates_fast, ml_estimate)
