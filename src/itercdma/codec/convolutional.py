@@ -10,6 +10,14 @@ The Viterbi decoder is fully vectorized over a batch of codewords and over
 the trellis states; only the time axis is a Python loop.  Soft inputs are
 correlation metrics (positive values favour bit 0 / symbol +1) and any
 positive per-codeword scaling leaves the decisions unchanged.
+
+The register shifts right, so state s = hi*S/2 + lo (S states) is entered
+with input bit hi from states 2*lo and 2*lo + 1.  Laid out as (2, S), the
+metrics arriving over all 2*S branches are the old path metrics broadcast
+over hi (a butterfly), so each step is one add and one compare-select.
+After the forward pass the survivors become flat predecessor indices, the
+traceback is one gather per step, and the decided bits are the top bits of
+the states the path enters.
 """
 
 from __future__ import annotations
@@ -97,32 +105,35 @@ class ConvolutionalCode:
         if n_info < 1:
             raise ParameterError("codeword shorter than the encoder tail")
 
-        ps, pb = self.pred_state, self.pred_bit
-        metrics = np.full((batch, self.n_states), _NEG)
+        n_states, half = self.n_states, self.n_states // 2
+        metrics = np.full((batch, n_states), _NEG)
         metrics[:, 0] = 0.0
-        survivors = np.empty((steps, batch, self.n_states), dtype=np.int8)
-        arrive = np.empty((batch, self.n_states, 2))
+        survivors = np.empty((steps, batch, n_states), dtype=np.int8)
+        # state hi*S/2 + lo is entered from 2*lo and 2*lo + 1: seen as (B, 2, S),
+        # the arriving path metrics are the old metrics broadcast over hi
+        departing = metrics[:, None, :]
+        pairs = soft.reshape(batch, steps, 2).transpose(1, 0, 2)     # (T, B, 2)
         for start in range(0, steps, _CHUNK):
             stop = min(start + _CHUNK, steps)
-            # branch[t, b, s, j]: metric of the j-th branch arriving in state s
-            branch = (soft[:, 2 * start:2 * stop:2].T[:, :, None] * self._arrive_signs[0]
-                      + soft[:, 2 * start + 1:2 * stop:2].T[:, :, None] * self._arrive_signs[1]
-                      ).reshape(stop - start, batch, self.n_states, 2)
-            for t in range(start, stop):
-                metrics.take(ps, axis=1, out=arrive)
-                arrive += branch[t - start]
-                # a tie keeps the first branch, as argmax would
-                np.greater(arrive[:, :, 1], arrive[:, :, 0], out=survivors[t])
-                np.maximum(arrive[:, :, 0], arrive[:, :, 1], out=metrics)
+            # arrive[t, b, s, j]: branch metric of the j-th branch arriving in
+            # state s, to which each step adds the departing path metrics
+            arrive = (pairs[start:stop] @ self._arrive_signs).reshape(
+                stop - start, batch, n_states, 2)
+            for both, first, second in zip(arrive.reshape(stop - start, batch, 2, n_states),
+                                           arrive[..., 0], arrive[..., 1]):
+                np.add(both, departing, out=both)
+                np.maximum(first, second, out=metrics)
+            # a tie keeps the first branch, as argmax would
+            np.greater(arrive[..., 1], arrive[..., 0], out=survivors[start:stop])
 
-        # flat indices: survivor of (b, s) at b*S + s, branch j of state s at 2s + j
-        flat_survivors = survivors.reshape(steps, batch * self.n_states)
-        offsets = np.arange(batch) * self.n_states
-        ps_flat, pb_flat = ps.ravel(), pb.ravel()
-        bits = np.empty((batch, steps), dtype=np.int8)
-        state = np.zeros(batch, dtype=np.int64)   # terminated blocks end in 0
-        for t in range(steps - 1, -1, -1):
-            branch = 2 * state + flat_survivors[t].take(offsets + state)
-            bits[:, t] = pb_flat.take(branch)
-            state = ps_flat.take(branch)
-        return bits[:, :n_info]
+        # flat predecessor b*S + 2*lo + survivor of each (t, b, s), so that the
+        # traceback is one gather per step; terminated blocks end in state 0
+        base = (np.arange(batch, dtype=np.intp)[:, None] * n_states
+                + 2 * (np.arange(n_states, dtype=np.intp) % half))
+        predecessors = (base + survivors).reshape(steps, batch * n_states)
+        states = np.empty((steps, batch), dtype=np.intp)   # flat state entered at t
+        states[-1] = base[:, 0]
+        for pred, entered, previous in zip(predecessors[:0:-1], states[:0:-1], states[-2::-1]):
+            pred.take(entered, out=previous)
+        # the input bit of a step is the top bit of the state it enters
+        return ((states[:n_info] % n_states) >= half).T.astype(np.int8)

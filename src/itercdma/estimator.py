@@ -27,7 +27,11 @@ the L paths, the rows of period t in S_hat are (e_hat_t * C_t)^T, so
     S_hat^T (dS a)   = sum_t e_hat_t o G_t ((e_t - e_hat_t) o a),
     S_hat^T n        = sum_t e_hat_t o (C_t n_t),
 
-(o is the entrywise product).  A trial then costs O(M (K*L)^2) instead of
+(o is the entrywise product).  Every chip is +-1/sqrt(N), so N G_t is an
+integer matrix: it is formed exactly from the int8 chip signs and kept as
+int16, and N R_hat is summed in int32, so R_hat carries no rounding.  The
+first sum is evaluated as C_t (C_t^T w_t), which shares its product with C_t
+with the noise term.  A trial then costs O(M (K*L)^2 + M N K*L) instead of
 the O(M N (K*L)^2) of the stacked products; the stacked `decompose_error`
 splits one trial per call as a check (`EstimationStats.split_gap`).
 """
@@ -171,8 +175,8 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
         G^{-1} (y - S_t^T (r_t - c_t)),  (I - H_t) c_t = S_t G^{-1} y - H_t r_t,
 
     where H_t = S_t G^{-1} S_t^T = V_t^T V_t comes from the column block
-    V_t of one triangular solve V = L^{-1} S^T.  All periods share one
-    final solve with G.
+    V_t of V = L^{-1} S^T, formed as one triangular product with the
+    explicit inverse L^{-1}.  All periods share one final solve with G.
     """
     m, n = chips.shape
     s = stacked.matrix
@@ -188,7 +192,11 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
     periods = s.reshape(m, n, kl)                                    # S_t
     proj_all = _real_matmul(s.T, chips.reshape(-1))                  # y
     base = gram_solve(proj_all)
-    v = sla.solve_triangular(factor[0], s.T, lower=True, check_finite=False)
+    # L^{-1} by trtri, then one triangular product: faster than a trsm here
+    inverse, info = sla.lapack.dtrtri(factor[0], lower=1)
+    if info != 0:
+        raise RankError(f"Cholesky factor is singular (dtrtri info {info})")
+    v = sla.blas.dtrmm(1.0, inverse, s.T, lower=1)
     v = v.reshape(kl, m, n).transpose(1, 0, 2)                       # V_t, (M, KL, N)
     h = v.transpose(0, 2, 1) @ v                                     # H_t, (M, N, N)
     rhs = _real_matmul(periods, base) - _real_matmul(h, chips[..., None])[..., 0]
@@ -228,22 +236,42 @@ def _complex_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _gram_domain_split(periods: np.ndarray, grams: np.ndarray, gains_flat: np.ndarray,
-                       symbols: np.ndarray, feedback: np.ndarray, noise: np.ndarray,
-                       mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _period_grams(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code matrices C_t (M, KL, N) and the integers N G_t = N C_t C_t^T as int16.
+
+    N G_t comes from the +-1 chip signs (M, K, L, N): a float32 product of
+    integers whose sums stay below 2^24 is exact.
+    """
+    m, k, l, n = signs.shape
+    if n > np.iinfo(np.int16).max:
+        raise ParameterError(f"spreading gain {n} leaves the int16 range of N G_t")
+    sign_periods = signs.reshape(m, k * l, n).astype(np.float32)
+    scaled_grams = (sign_periods @ sign_periods.transpose(0, 2, 1)).astype(np.int16)
+    return sm.codes_from_signs(signs).reshape(m, k * l, n), scaled_grams
+
+
+def _gram_domain_split(period_grams: tuple, gains_flat: np.ndarray,
+                       symbols: np.ndarray, feedback: np.ndarray,
+                       noise: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """The (feedback, noise) parts of :func:`decompose_error` from per-period Grams.
 
-    ``periods`` holds the (M, KL, N) code matrices C_t and ``grams`` their
-    Grams G_t = C_t C_t^T; ``noise`` is the (M, N) noise record.
+    ``period_grams`` is the pair of :func:`_period_grams`; ``noise`` is the
+    (M, N) noise record.
     """
+    periods, scaled_grams = period_grams
     n_paths = len(gains_flat) // symbols.shape[0]
-    believed = np.repeat(feedback.T.astype(float), n_paths, axis=1)     # e_hat_t
+    believed = np.repeat(feedback.T, n_paths, axis=1)                   # e_hat_t
     wrong = np.repeat(symbols.T - feedback.T, n_paths, axis=1) * gains_flat
-    per_period = np.stack([_real_matmul(grams, wrong[..., None])[..., 0],
-                           _real_matmul(periods, noise[..., None])[..., 0]], axis=-1)
-    proj = np.einsum("ti,tic->ic", believed, per_period)
+    # G_t w_t = C_t (C_t^T w_t), so one product with C_t serves both parts
+    chips = np.stack([_real_matmul(periods.transpose(0, 2, 1), wrong[..., None])[..., 0],
+                      noise], axis=-1)
+    per_period = _real_matmul(periods, chips)
+    proj = np.einsum("ti,tic->ic", believed.astype(float), per_period)
     if mode == "exact":
-        gram = np.einsum("ti,tij,tj->ij", believed, grams, believed)
+        # N R_hat is an integer matrix: an int16 product per period, summed in int32
+        signed = np.multiply(scaled_grams, believed[:, :, None] * believed[:, None, :],
+                             dtype=np.int16)
+        gram = signed.sum(axis=0, dtype=np.int32) / periods.shape[-1]
         parts = -solve_normal_equations(gram, proj).solution
     else:
         parts = -proj / len(believed)
@@ -281,10 +309,9 @@ def empirical_estimation_stats(config: SystemConfig,
     for r in range(realizations):
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
         gains = sm.generate_channel(config, rng_r)
-        codes = sm.generate_codes(config, rng_r)
+        period_grams = _period_grams(sm.generate_code_signs(config, rng_r))
+        codes = period_grams[0].reshape(m, config.n_users, config.n_paths, n)
         a = gains.reshape(-1)
-        periods = codes.reshape(m, kl, n)
-        grams = periods @ periods.transpose(0, 2, 1)
 
         fb_parts = np.empty((inner, kl), dtype=complex)
         nz_parts = np.empty((inner, kl), dtype=complex)
@@ -292,8 +319,8 @@ def empirical_estimation_stats(config: SystemConfig,
             rng = derive_stream(config.seed, f"{experiment_id}/trial/{r}", j)
             symbols = sm.generate_symbols(config, rng)
             feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
-            _, noise = sm.synthesize_received(gains, codes, symbols, config, rng)
-            fb_parts[j], nz_parts[j] = _gram_domain_split(periods, grams, a, symbols,
+            noise = sm.generate_noise(config, rng)
+            fb_parts[j], nz_parts[j] = _gram_domain_split(period_grams, a, symbols,
                                                           feedback, noise, mode)
             if r == 0 and j == 0:
                 # the stacked split of one trial checks the Gram algebra in every run

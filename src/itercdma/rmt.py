@@ -12,7 +12,10 @@ The first few values are beta', beta'(1+beta'), beta'(beta'^2+3beta'+1).
 Crucially the same limit holds whether per-path codes are independent or
 delayed windows of one chip stream, which is what licenses the independent
 -code analysis for the physically shifted construction; the empirical
-comparison here checks that at finite size.  The moments also obey
+comparison here checks that at finite size.  Empirically, S = Q / sqrt(N)
+for the int8 +-1 stacked matrix Q, so Q^T Q is an integer matrix with
+entries of at most M*N; a float32 product forms it exactly while M*N < 2^24,
+and one scaling by 1/(N*M) gives the normalized Gram.  The moments also obey
 E[lam^m] < C^m m^(m-2) for any C > max(1, beta'), which keeps the moment
 problem determinate.
 """
@@ -31,6 +34,7 @@ from .estimator import build_stacked_matrix
 from . import system_model as sm
 
 MAX_MOMENT_ORDER = 12
+_EXACT_FLOAT32 = 1 << 24      # float32 holds every integer below this exactly
 
 
 def mp_moments(stacked_load: float, max_order: int) -> np.ndarray:
@@ -105,17 +109,21 @@ class MomentReport:
 
 def _trial_moments(config: SystemConfig, max_order: int,
                    rng: np.random.Generator) -> np.ndarray:
-    codes = sm.generate_codes(config, rng)
-    s = build_stacked_matrix(codes, sm.generate_symbols(config, rng)).matrix
-    # stacked columns have norm sqrt(M); the analyzed ensemble normalizes
-    # them to one, so the Gram is scaled by the coherence time
-    gram = s.T @ s / config.coherence_time
+    m, n = config.coherence_time, config.spreading_gain
+    signs = sm.generate_code_signs(config, rng)
+    q = build_stacked_matrix(signs, sm.generate_symbols(config, rng)).matrix
+    # q is the int8 +-1 stacked matrix, so q^T q holds integers of at most M*N
+    # and a float32 product forms it exactly; S = q / sqrt(N), and the
+    # analyzed ensemble's columns have norm one where S's have norm sqrt(M)
+    q = q.astype(np.float32)
+    gram = (q.T @ q).astype(float) / (m * n)
     powers = [np.eye(len(gram)), gram]                # powers[i] = G^i
     for _ in range((max_order + 1) // 2 - 1):
         powers.append(powers[-1] @ gram)
     # tr(G^m) = <G^ceil(m/2), G^floor(m/2)>_F, as every power is symmetric
-    traces = [np.vdot(powers[(m + 1) // 2], powers[m // 2]) for m in range(1, max_order + 1)]
-    return np.array(traces) / (config.coherence_time * config.spreading_gain)
+    traces = [np.vdot(powers[(order + 1) // 2], powers[order // 2])
+              for order in range(1, max_order + 1)]
+    return np.array(traces) / (m * n)
 
 
 def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
@@ -131,6 +139,8 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
     if trials < 2:
         raise ParameterError("need at least two trials for standard errors")
     analytic = mp_moments(config.stacked_load, max_order)   # checks max_order first
+    if config.coherence_time * config.spreading_gain >= _EXACT_FLOAT32:
+        raise ParameterError("M*N reaches 2^24, past the exact float32 integer Gram")
     samples = {}
     for model in ("independent", "shifted"):
         cfg = replace(config, code_model=model)

@@ -16,7 +16,9 @@ sequence, as produced by a physical multipath channel.
 
 All generators are pure functions of an explicit ``numpy.random.Generator``,
 so trials parallelize by handing out disjoint streams (see
-:func:`itercdma.config.derive_stream`).
+:func:`itercdma.config.derive_stream`).  Chip signs are read off the raw
+64-bit words of the PCG64 stream; they equal, and leave the stream as,
+``2 * rng.integers(0, 2, size) - 1``.
 """
 
 from __future__ import annotations
@@ -39,16 +41,56 @@ def generate_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarr
     return scale * (rng.standard_normal((k, l)) + 1j * rng.standard_normal((k, l)))
 
 
+def _sign_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``2 * rng.integers(0, 2, count) - 1`` as int8, read off raw 64-bit words.
+
+    For a range of two, ``integers`` returns bit 31 of each 32-bit output,
+    and PCG64 hands out the low half of each 64-bit word before the high
+    half, which it buffers.  So a pending buffered half gives the first
+    sign, the halves of ``random_raw`` words give the rest, and the buffer
+    is left as ``integers`` leaves it: the last word's high half, pending
+    after an odd count.
+    """
+    bit_gen = rng.bit_generator
+    if not isinstance(bit_gen, np.random.PCG64):
+        raise ParameterError(
+            f"code signs need a PCG64 generator, got {type(bit_gen).__name__}")
+    signs = np.empty(count, dtype=np.int8)
+    if count == 0:
+        return signs
+    state = bit_gen.state
+    pending = state["has_uint32"]
+    if pending:
+        signs[0] = 1 if state["uinteger"] >> 31 else -1
+    rest = count - pending
+    words = bit_gen.random_raw((rest + 1) // 2)
+    # byte 3 of each little-endian 32-bit half holds its bit 31 as the sign bit
+    top = words.astype("<u8", copy=False).view(np.int8)[3::4][:rest]
+    body = signs[pending:]
+    np.right_shift(top, 7, out=body)                  # bit 0 -> 0, bit 1 -> -1
+    np.bitwise_or(body, 1, out=body)
+    np.negative(body, out=body)
+    state = bit_gen.state
+    state["has_uint32"] = rest % 2
+    if rest:
+        state["uinteger"] = int(words[-1] >> np.uint64(32))
+    bit_gen.state = state
+    return signs
+
+
 def generate_code_signs(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw the +-1 chip signs of every code, int8 of shape (M, K, L, N)."""
+    """Draw the +-1 chip signs of every code, int8 of shape (M, K, L, N).
+
+    The draws equal ``2 * rng.integers(0, 2, size) - 1``; ``rng`` must be a
+    PCG64 generator, as every stream from :func:`derive_stream` is.
+    """
     m, k, l, n = (config.coherence_time, config.n_users,
                   config.n_paths, config.spreading_gain)
-    # cast before the arithmetic, so that only one int64 array is allocated
     if config.code_model == "independent":
-        return 2 * rng.integers(0, 2, size=(m, k, l, n)).astype(np.int8) - 1
+        return _sign_draws(rng, m * k * l * n).reshape(m, k, l, n)
     # One chip stream per user; path/period codes are sliding windows.
     stream_len = n * m + l - 1
-    streams = 2 * rng.integers(0, 2, size=(k, stream_len)).astype(np.int8) - 1
+    streams = _sign_draws(rng, k * stream_len).reshape(k, stream_len)
     windows = np.lib.stride_tricks.sliding_window_view(streams, n, axis=1)
     # windows[k, off] = streams[k, off:off+n]; offset of (t, l) is t*N + l
     t_idx = np.arange(m)[:, None] * n + np.arange(l)[None, :]
@@ -101,9 +143,15 @@ def synthesize_received(gains: np.ndarray,
     amp = symbols.T[:, :, None] * gains                               # (M, K, L)
     signal = _real_matmul(codes.reshape(m, k * l, n).transpose(0, 2, 1),
                           amp.reshape(m, k * l, 1))[..., 0]
-    sigma = np.sqrt(config.noise_var / 2.0)
-    noise = sigma * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    noise = generate_noise(config, rng)
     return signal + noise, noise
+
+
+def generate_noise(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (M, N) CSCG noise record: real normals first, then imaginary."""
+    shape = (config.coherence_time, config.spreading_gain)
+    sigma = np.sqrt(config.noise_var / 2.0)
+    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def corrupt_feedback(symbols: np.ndarray,

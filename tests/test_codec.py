@@ -158,18 +158,20 @@ class TestConvolutionalCore:
         shifted = code.viterbi_decode(noisy * (1.0 - 2.0 * code.encode(shift_info)))
         np.testing.assert_array_equal(shifted, base ^ shift_info)
 
-    @pytest.mark.parametrize("batch", [1, 14])
+    @pytest.mark.parametrize("batch", [1, 14, 25, 100])
     @pytest.mark.parametrize("snr_db", [-3.0, 0.0, 3.0])
     def test_viterbi_matches_reference(self, batch, snr_db):
         # rounded and hard-limited inputs make many equal path metrics, so
-        # the tie rule (keep the first arriving branch) is exercised too
+        # the tie rule (keep the first arriving branch) is exercised too;
+        # codes of 4, 16 and 64 states check the butterfly layout
         rng = np.random.default_rng(10 + batch)
-        code = ConvolutionalCode()
-        info = rng.integers(0, 2, size=(batch, 120), dtype=np.int8)
-        llr = _noisy_llrs(rng, code.encode(info), snr_db)
-        for soft in (llr, np.round(llr), np.sign(llr)):
-            np.testing.assert_array_equal(code.viterbi_decode(soft),
-                                          _reference_viterbi(code, soft))
+        for generators in ((0o35, 0o23), (0o7, 0o5), (0o171, 0o133)):
+            code = ConvolutionalCode(generators)
+            info = rng.integers(0, 2, size=(batch, 120), dtype=np.int8)
+            llr = _noisy_llrs(rng, code.encode(info), snr_db)
+            for soft in (llr, np.round(llr), np.sign(llr)):
+                np.testing.assert_array_equal(code.viterbi_decode(soft),
+                                              _reference_viterbi(code, soft))
 
 
 class TestTurboCore:

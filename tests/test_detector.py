@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_fields
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
@@ -240,6 +241,21 @@ class TestPicStatistics:
         _, st = stats
         assert st.ser_sim > 0
         assert abs(st.ser_sim - st.ser_gauss) / st.ser_gauss < 0.25
+
+
+def test_same_inputs_give_identical_pic_stats():
+    cfg = SystemConfig(n_users=6, spreading_gain=16, n_paths=2, coherence_time=10,
+                       n_training=1, noise_var=0.2, seed=22)
+
+    def run(experiment_id):
+        return measure_pic_stats(cfg, 0.1, frames=4, realizations=2,
+                                 experiment_id=experiment_id)
+
+    first = run("repro")
+    assert_same_fields(first, run("repro"))
+    other = run("repro-other")
+    assert other.interference_power != first.interference_power
+    assert other.output_variance != first.output_variance
 
 
 def test_residual_mean_near_zero():

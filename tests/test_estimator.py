@@ -5,7 +5,7 @@ from conftest import assert_same_fields
 from itercdma import analysis
 from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
-from itercdma.estimator import (_gram_domain_split, build_stacked_matrix,
+from itercdma.estimator import (_gram_domain_split, _period_grams, build_stacked_matrix,
                                 decompose_error, empirical_estimation_stats,
                                 leave_one_out_estimates_fast, ml_estimate)
 from itercdma.exceptions import ParameterError, RankError
@@ -307,15 +307,26 @@ class TestGramDomainSplit:
             gains, codes, symbols, feedback, _, noise = _frame(
                 cfg, 19, 0.2, tag=f"gram-split/{trial}")
             assert np.any(feedback != symbols)
-            periods = codes.reshape(10, 12, 16)
-            grams = periods @ periods.transpose(0, 2, 1)
+            period_grams = _period_grams(np.rint(codes * 4).astype(np.int8))
+            np.testing.assert_array_equal(period_grams[0], codes.reshape(10, 12, 16))
             a = gains.reshape(-1)
-            fb, nz = _gram_domain_split(periods, grams, a, symbols, feedback, noise, mode)
+            fb, nz = _gram_domain_split(period_grams, a, symbols, feedback, noise, mode)
             dec = decompose_error(a, build_stacked_matrix(codes, symbols),
                                   build_stacked_matrix(codes, feedback),
                                   noise.reshape(-1), mode)
             np.testing.assert_allclose(fb, dec.feedback_part, rtol=1e-12)
             np.testing.assert_allclose(nz, dec.noise_part, rtol=1e-12)
+
+    def test_period_grams_are_exact_integers(self):
+        cfg = SystemConfig(n_users=5, spreading_gain=40, n_paths=3, coherence_time=6,
+                           code_model="shifted", seed=23)
+        signs = sm.generate_code_signs(cfg, derive_stream(23, "period-grams", 0))
+        periods, scaled = _period_grams(signs)
+        assert scaled.dtype == np.int16
+        np.testing.assert_array_equal(
+            scaled, np.rint(40 * periods @ periods.transpose(0, 2, 1)).astype(np.int16))
+        with pytest.raises(ParameterError, match="int16"):
+            _period_grams(np.ones((1, 1, 1, 2 ** 15), dtype=np.int8))
 
     def test_split_gap_at_stage_checks_scale(self):
         cfg = SystemConfig(n_users=20, spreading_gain=100, n_paths=5,

@@ -155,3 +155,10 @@ def test_same_inputs_give_identical_report():
     other = run("repro-other")
     assert not np.array_equal(other.empirical_independent, first.empirical_independent)
     assert not np.array_equal(other.empirical_shifted, first.empirical_shifted)
+
+
+def test_stacked_gram_past_float32_exactness_rejected():
+    # M*N = 2^24 would let the float32 integer Gram round; no trial runs
+    cfg = SystemConfig(n_users=1, spreading_gain=4096, coherence_time=4096, seed=36)
+    with pytest.raises(ParameterError, match="2\\^24"):
+        rmt.empirical_eigen_moments(cfg, max_order=2, trials=2)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,65 @@ class TestCodes:
         assert abs(prods.mean()) < 5 * se
 
 
+class TestSignDraws:
+    """The raw-word sign draws against the ``integers`` draw they replace."""
+
+    @pytest.mark.parametrize("count", [1, 7, 1001, 200_000])
+    @pytest.mark.parametrize("preceding", [0, 3])
+    def test_equal_to_integers_and_stream_continues(self, count, preceding):
+        ours, ref = derive_stream(40, "signs", count), derive_stream(40, "signs", count)
+        # an odd-length draw first leaves a buffered half-word pending
+        np.testing.assert_array_equal(sm._sign_draws(ours, preceding),
+                                      2 * ref.integers(0, 2, size=preceding) - 1)
+        signs = sm._sign_draws(ours, count)
+        assert signs.dtype == np.int8
+        np.testing.assert_array_equal(signs, 2 * ref.integers(0, 2, size=count) - 1)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(ours.integers(0, 1000, size=9),
+                                      ref.integers(0, 1000, size=9))
+        np.testing.assert_array_equal(ours.standard_normal(9), ref.standard_normal(9))
+
+    def test_non_pcg64_generator_rejected(self):
+        with pytest.raises(ParameterError, match="PCG64"):
+            sm.generate_code_signs(_cfg(), np.random.Generator(np.random.MT19937(1)))
+
+    # sha256 of the signs, then of the generator state after the draw, for
+    # draws made in this order from one stream per model; the first shape has
+    # an odd sign count, so the later draws start from a buffered half-word
+    PINNED_SHAPES = ((3, 7, 1, 3), (30, 30, 5, 50), (40, 100, 5, 10))   # (K, N, L, M)
+    PINNED = {
+        "independent": (
+            ("13af7daa8420042c6be0e6b896a630c11c429b79ca0f4cbad5d67f870f19f8d4",
+             "19314733117f60404f61b34f056fa1dcab7e71d3d2e12f24baf6c2fb8cc02d71"),
+            ("6c194611fe04d968c611991c8ba0a2fb6168a87dc98edfc4a88c063bd36b1d3e",
+             "b51ae6f84fd0631565745c9f85b25213ceba44661e8fec0724f074b7c167f926"),
+            ("ab37409c15a9e9c65a154c9562b83b175cf6e462ce4c3c331d8e94f5ed4c8bdd",
+             "2125f7e3f9456bd245d7da85fe55398da6fc74f9f5866673adc7f34df7601589"),
+        ),
+        "shifted": (
+            ("bbcd7e7920492af9d3a68323613845327069c65a403a3fe520a9a4848cabbd77",
+             "4fc9ae34aff2fde477d5c9204183c0f395f05db973835410f978ba85166d9d62"),
+            ("472cda4b388b4df6d3f10abd83d8668e32924837dd720685f2a02a24cc85a144",
+             "9c016c6cb1a406d9c39f731ad21aee92a30e0a5afb739c4df9d56dc4f53d0b6d"),
+            ("3b3f4ea1c28a1efa2424a5fedffb6dc1e896a15633a24ae1f5ce7161cdbe43fb",
+             "d5e160122ccf08b1ae18b8a221e59313b7faf15e74b4a15faa21508102bdf311"),
+        ),
+    }
+
+    @pytest.mark.parametrize("model", ["independent", "shifted"])
+    def test_code_draw_is_pinned(self, model):
+        rng = derive_stream(11, f"pin/{model}", 0)
+        for (k, n, l, m), (signs_digest, state_digest) in zip(self.PINNED_SHAPES,
+                                                              self.PINNED[model]):
+            cfg = SystemConfig(n_users=k, spreading_gain=n, n_paths=l,
+                               coherence_time=m, code_model=model)
+            signs = sm.generate_code_signs(cfg, rng)
+            assert signs.shape == (m, k, l, n) and signs.dtype == np.int8
+            assert hashlib.sha256(signs.tobytes()).hexdigest() == signs_digest
+            state = json.dumps(rng.bit_generator.state, sort_keys=True)
+            assert hashlib.sha256(state.encode()).hexdigest() == state_digest
+
+
 class TestReceived:
     def test_single_user_single_path_noiseless(self):
         cfg = _cfg(n_users=1, n_paths=1, noise_var=0.0)
@@ -193,6 +255,16 @@ class TestReceived:
         (chips1, syms1), (chips2, syms2) = draws
         np.testing.assert_array_equal(chips1, chips2)
         np.testing.assert_array_equal(syms1, syms2)
+
+    def test_noise_draw_equals_synthesized_record(self):
+        # the estimation sampler draws the noise record alone
+        cfg = _cfg(noise_var=0.3)
+        rng = derive_stream(17, "rx", 0)
+        gains, codes = sm.generate_channel(cfg, rng), sm.generate_codes(cfg, rng)
+        syms = sm.generate_symbols(cfg, rng)
+        _, noise = sm.synthesize_received(gains, codes, syms, cfg, derive_stream(17, "noise", 0))
+        np.testing.assert_array_equal(sm.generate_noise(cfg, derive_stream(17, "noise", 0)),
+                                      noise)
 
 
 class TestFeedback:
