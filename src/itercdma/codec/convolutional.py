@@ -109,9 +109,7 @@ class ConvolutionalCode:
         metrics = np.full((batch, n_states), _NEG)
         metrics[:, 0] = 0.0
         survivors = np.empty((steps, batch, n_states), dtype=np.int8)
-        # state hi*S/2 + lo is entered from 2*lo and 2*lo + 1: seen as (B, 2, S),
-        # the arriving path metrics are the old metrics broadcast over hi
-        departing = metrics[:, None, :]
+        departing = metrics[:, None, :]          # broadcast over hi: the butterfly
         pairs = soft.reshape(batch, steps, 2).transpose(1, 0, 2)     # (T, B, 2)
         for start in range(0, steps, _CHUNK):
             stop = min(start + _CHUNK, steps)

@@ -310,7 +310,6 @@ def empirical_estimation_stats(config: SystemConfig,
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
         gains = sm.generate_channel(config, rng_r)
         period_grams = _period_grams(sm.generate_code_signs(config, rng_r))
-        codes = period_grams[0].reshape(m, config.n_users, config.n_paths, n)
         a = gains.reshape(-1)
 
         fb_parts = np.empty((inner, kl), dtype=complex)
@@ -324,6 +323,7 @@ def empirical_estimation_stats(config: SystemConfig,
                                                           feedback, noise, mode)
             if r == 0 and j == 0:
                 # the stacked split of one trial checks the Gram algebra in every run
+                codes = period_grams[0].reshape(m, config.n_users, config.n_paths, n)
                 dec = decompose_error(a, build_stacked_matrix(codes, symbols),
                                       build_stacked_matrix(codes, feedback),
                                       noise.reshape(-1), mode)

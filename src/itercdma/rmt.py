@@ -34,7 +34,6 @@ from .estimator import build_stacked_matrix
 from . import system_model as sm
 
 MAX_MOMENT_ORDER = 12
-_EXACT_FLOAT32 = 1 << 24      # float32 holds every integer below this exactly
 
 
 def mp_moments(stacked_load: float, max_order: int) -> np.ndarray:
@@ -112,8 +111,7 @@ def _trial_moments(config: SystemConfig, max_order: int,
     m, n = config.coherence_time, config.spreading_gain
     signs = sm.generate_code_signs(config, rng)
     q = build_stacked_matrix(signs, sm.generate_symbols(config, rng)).matrix
-    # q is the int8 +-1 stacked matrix, so q^T q holds integers of at most M*N
-    # and a float32 product forms it exactly; S = q / sqrt(N), and the
+    # the int8 q = sqrt(N) S gives the integers q^T q exactly in float32; the
     # analyzed ensemble's columns have norm one where S's have norm sqrt(M)
     q = q.astype(np.float32)
     gram = (q.T @ q).astype(float) / (m * n)
@@ -139,7 +137,7 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
     if trials < 2:
         raise ParameterError("need at least two trials for standard errors")
     analytic = mp_moments(config.stacked_load, max_order)   # checks max_order first
-    if config.coherence_time * config.spreading_gain >= _EXACT_FLOAT32:
+    if config.coherence_time * config.spreading_gain >= 2 ** 24:
         raise ParameterError("M*N reaches 2^24, past the exact float32 integer Gram")
     samples = {}
     for model in ("independent", "shifted"):
