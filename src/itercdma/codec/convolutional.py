@@ -61,6 +61,8 @@ class ConvolutionalCode:
             raise ParameterError("exactly two generator polynomials expected")
         self.constraint_length = max(g.bit_length() for g in self.generators)
         self.memory = self.constraint_length - 1
+        if self.memory < 1:
+            raise ParameterError("generators must have at least two taps (memory >= 1)")
         self.n_states = 1 << self.memory
         m, n_states = self.memory, self.n_states
         self.next_state = np.empty((n_states, 2), dtype=np.int64)

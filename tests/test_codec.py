@@ -122,6 +122,11 @@ class TestConvolutionalCore:
                 ref = np.convolve(padded[row], taps) % 2
                 np.testing.assert_array_equal(out[row, :, j], ref[:44])
 
+    def test_memoryless_generators_rejected(self):
+        # the butterfly decoder needs at least two trellis states
+        with pytest.raises(ParameterError, match="memory"):
+            ConvolutionalCode((1, 1))
+
     def test_noiseless_viterbi_roundtrip(self):
         rng = np.random.default_rng(1)
         info = rng.integers(0, 2, size=(10, 100), dtype=np.int8)
