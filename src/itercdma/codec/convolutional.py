@@ -17,7 +17,9 @@ metrics arriving over all 2*S branches are the old path metrics broadcast
 over hi (a butterfly), so each step is one add and one compare-select.
 After the forward pass the survivors become flat predecessor indices, the
 traceback is one gather per step, and the decided bits are the top bits of
-the states the path enters.
+the states the path enters.  A memoryless code runs on a two-state trellis
+whose register no output sees, closed by one zero-metric step, so the
+butterfly covers it too.
 """
 
 from __future__ import annotations
@@ -61,17 +63,19 @@ class ConvolutionalCode:
             raise ParameterError("exactly two generator polynomials expected")
         self.constraint_length = max(g.bit_length() for g in self.generators)
         self.memory = self.constraint_length - 1
-        if self.memory < 1:
-            raise ParameterError("generators must have at least two taps (memory >= 1)")
-        self.n_states = 1 << self.memory
-        m, n_states = self.memory, self.n_states
+        if self.memory < 0:
+            raise ParameterError("at least one generator polynomial must be nonzero")
+        # trellis steps the decoder appends to close a memoryless code
+        self._closing = 1 if self.memory == 0 else 0
+        m = self.memory + self._closing
+        self.n_states = n_states = 1 << m
         self.next_state = np.empty((n_states, 2), dtype=np.int64)
         out_bits = np.empty((n_states, 2, 2), dtype=np.int8)
         for state in range(n_states):
             for bit in (0, 1):
                 reg = (bit << m) | state
                 for j, gen in enumerate(self.generators):
-                    out_bits[state, bit, j] = _parity(gen & reg)
+                    out_bits[state, bit, j] = _parity((gen << self._closing) & reg)
                 self.next_state[state, bit] = reg >> 1
         self.out_signs = (1.0 - 2.0 * out_bits).astype(np.float64)
         self.pred_state, self.pred_bit = _predecessors(self.next_state)
@@ -102,10 +106,11 @@ class ConvolutionalCode:
         batch, total = soft.shape
         if total % 2:
             raise ParameterError("soft input length must be even")
-        steps = total // 2
-        n_info = steps - self.memory
+        n_info = total // 2 - self.memory
         if n_info < 1:
             raise ParameterError("codeword shorter than the encoder tail")
+        soft = np.pad(soft, ((0, 0), (0, 2 * self._closing)))
+        steps = soft.shape[1] // 2
 
         n_states, half = self.n_states, self.n_states // 2
         metrics = np.full((batch, n_states), _NEG)

@@ -250,15 +250,15 @@ def _period_grams(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sm.codes_from_signs(signs).reshape(m, k * l, n), scaled_grams
 
 
-def _gram_domain_split(period_grams: tuple, gains_flat: np.ndarray,
-                       symbols: np.ndarray, feedback: np.ndarray,
+def _gram_domain_split(periods: np.ndarray, scaled_grams: np.ndarray,
+                       gains_flat: np.ndarray, symbols: np.ndarray, feedback: np.ndarray,
                        noise: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """The (feedback, noise) parts of :func:`decompose_error` from per-period Grams.
 
-    ``period_grams`` is the pair of :func:`_period_grams`; ``noise`` is the
+    ``periods`` holds the (M, KL, N) code matrices C_t and ``scaled_grams``
+    the integers N G_t, both from :func:`_period_grams`; ``noise`` is the
     (M, N) noise record.
     """
-    periods, scaled_grams = period_grams
     n_paths = len(gains_flat) // symbols.shape[0]
     believed = np.repeat(feedback.T, n_paths, axis=1)                   # e_hat_t
     wrong = np.repeat(symbols.T - feedback.T, n_paths, axis=1) * gains_flat
@@ -309,7 +309,7 @@ def empirical_estimation_stats(config: SystemConfig,
     for r in range(realizations):
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
         gains = sm.generate_channel(config, rng_r)
-        period_grams = _period_grams(sm.generate_code_signs(config, rng_r))
+        periods, scaled_grams = _period_grams(sm.generate_code_signs(config, rng_r))
         a = gains.reshape(-1)
 
         fb_parts = np.empty((inner, kl), dtype=complex)
@@ -319,11 +319,11 @@ def empirical_estimation_stats(config: SystemConfig,
             symbols = sm.generate_symbols(config, rng)
             feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
             noise = sm.generate_noise(config, rng)
-            fb_parts[j], nz_parts[j] = _gram_domain_split(period_grams, a, symbols,
+            fb_parts[j], nz_parts[j] = _gram_domain_split(periods, scaled_grams, a, symbols,
                                                           feedback, noise, mode)
             if r == 0 and j == 0:
                 # the stacked split of one trial checks the Gram algebra in every run
-                codes = period_grams[0].reshape(m, config.n_users, config.n_paths, n)
+                codes = periods.reshape(m, config.n_users, config.n_paths, n)
                 dec = decompose_error(a, build_stacked_matrix(codes, symbols),
                                       build_stacked_matrix(codes, feedback),
                                       noise.reshape(-1), mode)

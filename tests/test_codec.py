@@ -122,10 +122,20 @@ class TestConvolutionalCore:
                 ref = np.convolve(padded[row], taps) % 2
                 np.testing.assert_array_equal(out[row, :, j], ref[:44])
 
-    def test_memoryless_generators_rejected(self):
-        # the butterfly decoder needs at least two trellis states
-        with pytest.raises(ParameterError, match="memory"):
-            ConvolutionalCode((1, 1))
+    def test_memoryless_code_decodes_as_repetition(self):
+        # (1, 1) repeats each bit: the ML decision is the sign of the pair sum,
+        # and a tie keeps bit 0
+        code = ConvolutionalCode((1, 1))
+        rng = np.random.default_rng(5)
+        info = rng.integers(0, 2, size=(4, 30), dtype=np.int8)
+        coded = code.encode(info)
+        assert coded.shape == (4, 60)
+        np.testing.assert_array_equal(code.viterbi_decode(1.0 - 2.0 * coded), info)
+        soft = np.round(rng.standard_normal((4, 60)))
+        expected = (soft.reshape(4, 30, 2).sum(axis=2) < 0).astype(np.int8)
+        np.testing.assert_array_equal(code.viterbi_decode(soft), expected)
+        with pytest.raises(ParameterError, match="nonzero"):
+            ConvolutionalCode((0, 0))
 
     def test_noiseless_viterbi_roundtrip(self):
         rng = np.random.default_rng(1)

@@ -307,10 +307,11 @@ class TestGramDomainSplit:
             gains, codes, symbols, feedback, _, noise = _frame(
                 cfg, 19, 0.2, tag=f"gram-split/{trial}")
             assert np.any(feedback != symbols)
-            period_grams = _period_grams(np.rint(codes * 4).astype(np.int8))
-            np.testing.assert_array_equal(period_grams[0], codes.reshape(10, 12, 16))
+            periods, scaled_grams = _period_grams(np.rint(codes * 4).astype(np.int8))
+            np.testing.assert_array_equal(periods, codes.reshape(10, 12, 16))
             a = gains.reshape(-1)
-            fb, nz = _gram_domain_split(period_grams, a, symbols, feedback, noise, mode)
+            fb, nz = _gram_domain_split(periods, scaled_grams, a, symbols, feedback, noise,
+                                        mode)
             dec = decompose_error(a, build_stacked_matrix(codes, symbols),
                                   build_stacked_matrix(codes, feedback),
                                   noise.reshape(-1), mode)
