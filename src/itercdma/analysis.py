@@ -32,6 +32,9 @@ import numpy as np
 
 from .exceptions import ParameterError
 
+_GRID_POINTS = 10_000     # uniform grid on which fixed points are counted
+_EFFICIENCY_STEP = 1e-6   # noise step of the finite-difference slope of D0
+
 
 # ---------------------------------------------------------------------------
 # estimation-error variances
@@ -262,9 +265,9 @@ class UniquenessReport:
     note: str = ""
 
 
-def _count_fixed_points(g, d0: float, d1: float, grid_points: int = 10_000):
+def _count_fixed_points(g, d0: float, d1: float):
     """Sign changes of D0 + D1*g(x) - x across a uniform grid on the domain."""
-    xs = np.linspace(0.0, g.sigma_I_max, grid_points)
+    xs = np.linspace(0.0, g.sigma_I_max, _GRID_POINTS)
     h = d0 + d1 * g(xs) - xs
     signs = np.sign(h)
     nonzero = signs != 0
@@ -274,9 +277,7 @@ def _count_fixed_points(g, d0: float, d1: float, grid_points: int = 10_000):
     return len(flips), crossings
 
 
-def construct_multiple_fixed_points(g, x1: float, d1: float,
-                                    grid_points: int = 10_000
-                                    ) -> MultiFixedPointInstance | None:
+def construct_multiple_fixed_points(g, x1: float, d1: float) -> MultiFixedPointInstance | None:
     """Build an offset D0 that makes x1's image a non-attracting fixed point.
 
     Requires 1/g'(x1) < D1 < x1/g(x1); returns None when that window is
@@ -290,13 +291,12 @@ def construct_multiple_fixed_points(g, x1: float, d1: float,
     if not (1.0 / slope < d1 < x1 / value):
         return None
     d0 = x1 - d1 * value
-    changes, crossings = _count_fixed_points(g, d0, d1, grid_points)
+    changes, crossings = _count_fixed_points(g, d0, d1)
     return MultiFixedPointInstance(d0=d0, d1=d1, anchor=x1,
                                    sign_changes=changes, crossings=crossings)
 
 
-def check_uniqueness(g, d1: float, gamma: float,
-                     grid_points: int = 10_000) -> UniquenessReport:
+def check_uniqueness(g, d1: float, gamma: float) -> UniquenessReport:
     """Certify a unique fixed point, or construct a multi-fixed-point case.
 
     Certification: if D1 <= gamma / max g' for some gamma < 1, the map is a
@@ -316,7 +316,7 @@ def check_uniqueness(g, d1: float, gamma: float,
         return UniquenessReport(certified=True, gamma=gamma * d1 / limit,
                                 max_slope=max_slope, d1_limit=limit)
     for x1 in np.linspace(g.sigma_I_max, 0.0, 200, endpoint=False):
-        instance = construct_multiple_fixed_points(g, float(x1), d1, grid_points)
+        instance = construct_multiple_fixed_points(g, float(x1), d1)
         if instance is not None and instance.sign_changes >= 2:
             return UniquenessReport(certified=False, gamma=None,
                                     max_slope=max_slope, d1_limit=limit,
@@ -339,12 +339,11 @@ def asymptotic_efficiency(n_paths: float, load: float,
 
 
 def asymptotic_efficiency_from_map(n_paths: float, load: float,
-                                   coherence_time: float,
-                                   step: float = 1e-6) -> float:
+                                   coherence_time: float) -> float:
     """Same quantity via the noise-slope of D0 at zero (finite differences)."""
-    up = map_coefficients(step, load, n_paths, coherence_time).d0
-    down = map_coefficients(-step, load, n_paths, coherence_time).d0
-    return 1.0 / ((up - down) / (2.0 * step))
+    up = map_coefficients(_EFFICIENCY_STEP, load, n_paths, coherence_time).d0
+    down = map_coefficients(-_EFFICIENCY_STEP, load, n_paths, coherence_time).d0
+    return 1.0 / ((up - down) / (2.0 * _EFFICIENCY_STEP))
 
 
 def bisect_max_load(feasible, lo: float = 0.05, hi: float = 2.0,

@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
-Each subcommand reproduces one experiment family at desk scale and drops
-CSV/JSON results plus a run manifest (configuration hash, master seed,
-package version, BLAS thread setting, CPU count and library versions) into
-the output directory:
+Each subcommand reproduces one experiment family at desk scale.  Only after
+its work succeeds does it create the output directory and write CSV/JSON
+results plus a run manifest (configuration hash, master seed, package version,
+BLAS thread setting, CPU count and library versions), so a failed run writes
+nothing:
 
     itercdma fig2        estimation-error variance versus coherence time
     itercdma fig3        detector output statistics and error-rate sweep
@@ -39,11 +40,17 @@ from .pipeline import capacity_search
 from .pipeline import MODES as PIPELINE_MODES
 
 
-def _write_manifest(outdir: Path, experiment: str, config, seed: int, extra=None):
+def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> Path:
+    """Create ``--out`` and write the command's files, then the run manifest.
+
+    Each command calls this once, after its work has succeeded.  ``files``
+    maps a file name to an object with ``save_csv(path)``, a dict (written
+    as JSON) or a header-plus-rows CSV table.
+    """
     manifest = {
         "experiment": experiment,
         "version": __version__,
-        "master_seed": seed,
+        "master_seed": config.seed if config is not None else args.seed or 0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -56,10 +63,19 @@ def _write_manifest(outdir: Path, experiment: str, config, seed: int, extra=None
     if config is not None:
         manifest["config"] = dataclasses.asdict(config)
         manifest["config_hash"] = config.digest()
-    if extra:
-        manifest.update(extra)
-    with open(outdir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    manifest.update(extra)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in {**files, "run_manifest.json": manifest}.items():
+        if hasattr(content, "save_csv"):
+            content.save_csv(outdir / name)
+        elif isinstance(content, dict):
+            with open(outdir / name, "w") as fh:
+                json.dump(content, fh, indent=2)
+        else:
+            with open(outdir / name, "w", newline="") as fh:
+                csv.writer(fh).writerows(content)
+    return outdir
 
 
 def _base_config(args, **defaults) -> SystemConfig:
@@ -77,27 +93,21 @@ def cmd_fig2(args) -> int:
                        coherence_time=10, noise_var=noise_var_from_snr_db(5.0),
                        code_model="shifted", seed=20)
     configs = [dataclasses.replace(cfg, coherence_time=m) for m in args.coherence_times]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    table = [["M", "Pe", "Delta_f_emp", "Delta_f_pred",
+              "Delta_n_emp", "Delta_n_pred", "bias_emp", "bias_pred"]]
     for m, cfg_m in zip(args.coherence_times, configs):
         stats = empirical_estimation_stats(cfg_m, args.error_rate, args.trials,
                                            realizations=args.realizations)
         pred_f = analysis.feedback_estimate_variance(
             args.error_rate, cfg_m.load, cfg_m.n_paths, m, 0.0)
         pred_n = cfg_m.noise_var / m
-        rows.append([m, args.error_rate, stats.delta_f, pred_f,
-                     stats.delta_n, pred_n,
-                     stats.mean_bias_ratio.real, 2.0 * args.error_rate])
+        table.append([m, args.error_rate, stats.delta_f, pred_f,
+                      stats.delta_n, pred_n,
+                      stats.mean_bias_ratio.real, 2.0 * args.error_rate])
         print(f"M={m:4d}  feedback-part {stats.delta_f:.3e} (pred {pred_f:.3e})  "
               f"noise-part {stats.delta_n:.3e} (pred {pred_n:.3e})")
-    with open(outdir / "estimation_variance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "Pe", "Delta_f_emp", "Delta_f_pred",
-                         "Delta_n_emp", "Delta_n_pred", "bias_emp", "bias_pred"])
-        writer.writerows(rows)
-    _write_manifest(outdir, "fig2", cfg, cfg.seed,
-                    {"coherence_times": args.coherence_times, "trials": args.trials})
+    _write_outputs(args, "fig2", {"estimation_variance.csv": table}, cfg,
+                   coherence_times=args.coherence_times, trials=args.trials)
     return 0
 
 
@@ -107,9 +117,8 @@ def cmd_fig3(args) -> int:
                        code_model="independent", seed=30)
     configs = [dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
                for snr_db in args.snrs_db]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    table = [["Pe", "snr_db", "sigmaI_emp", "sigmaI_pred",
+              "gain_emp", "gain_pred", "ser_sim", "ser_gauss"]]
     for snr_db, cfg_s in zip(args.snrs_db, configs):
         for pe in args.error_rates:
             stats = measure_pic_stats(cfg_s, pe, frames=args.frames,
@@ -120,17 +129,12 @@ def cmd_fig3(args) -> int:
             sig_pred = analysis.residual_interference_variance(
                 delta_a, cfg_s.load, cfg_s.n_paths, pe, cfg_s.noise_var)
             model = analysis.pic_output_model(pe, delta_a, cfg_s.n_paths, sig_pred)
-            rows.append([pe, snr_db, stats.interference_power, sig_pred,
-                         stats.gain, model.gain, stats.ser_sim, stats.ser_gauss])
+            table.append([pe, snr_db, stats.interference_power, sig_pred,
+                          stats.gain, model.gain, stats.ser_sim, stats.ser_gauss])
             print(f"SNR={snr_db:4.1f}dB Pe={pe:.3f}  sigmaI2 {stats.interference_power:.4f} "
                   f"(pred {sig_pred:.4f})  SER {stats.ser_sim:.4f} "
                   f"(gauss {stats.ser_gauss:.4f})")
-    with open(outdir / "detector_stats.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Pe", "snr_db", "sigmaI_emp", "sigmaI_pred",
-                         "gain_emp", "gain_pred", "ser_sim", "ser_gauss"])
-        writer.writerows(rows)
-    _write_manifest(outdir, "fig3", cfg, cfg.seed, {"frames": args.frames})
+    _write_outputs(args, "fig3", {"detector_stats.csv": table}, cfg, frames=args.frames)
     return 0
 
 
@@ -139,8 +143,6 @@ def _codec_spec(name: str) -> CodecSpec:
 
 
 def cmd_gcurve(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     spec = _codec_spec(args.codec)
     codec = make_codec(spec)
     lo, hi, count = args.grid
@@ -150,13 +152,11 @@ def cmd_gcurve(args) -> int:
                             target_errors=args.target_errors,
                             max_codewords=args.max_codewords,
                             label=f"{args.codec} {spec.digest()}")
-    path = outdir / f"gcurve_{args.codec}.csv"
-    curve.save_csv(path)
-    print(f"wrote {path}  (domain up to {curve.sigma_I_max:.3f}, "
+    name = f"gcurve_{args.codec}.csv"
+    outdir = _write_outputs(args, "gcurve", {name: curve}, codec=args.codec,
+                            codec_hash=spec.digest(), grid=[lo, hi, count])
+    print(f"wrote {outdir / name}  (domain up to {curve.sigma_I_max:.3f}, "
           f"max slope {curve.max_slope:.3f})")
-    _write_manifest(outdir, "gcurve", None, args.seed or 0,
-                    {"codec": args.codec, "codec_hash": spec.digest(),
-                     "grid": [lo, hi, count]})
     return 0
 
 
@@ -169,31 +169,22 @@ def cmd_capacity(args) -> int:
                                    n_training=max(1, round(cfg.training_fraction * m)))
                for m in args.coherence_times]
     g = GCurve.load_csv(args.gcurve) if args.gcurve else None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     codec = make_codec(_codec_spec(args.codec))
-    rows = []
+    table = [["M", "mode", "beta_max"]]
     for m, cfg_m in zip(args.coherence_times, configs):
         for mode in args.modes:
             result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
                                      g=g, trials=args.trials,
                                      iterations=args.iterations)
-            rows.append([m, mode, result.max_load])
+            table.append([m, mode, result.max_load])
             print(f"M={m:3d}  {mode:13s}  beta_max = {result.max_load:.2f}")
-    with open(outdir / "capacity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "mode", "beta_max"])
-        writer.writerows(rows)
-    _write_manifest(outdir, "capacity", cfg, cfg.seed,
-                    {"codec": args.codec, "modes": args.modes,
-                     "target_ber": args.target_ber})
+    _write_outputs(args, "capacity", {"capacity.csv": table}, cfg, codec=args.codec,
+                   modes=args.modes, target_ber=args.target_ber)
     return 0
 
 
 def cmd_fixedpoint(args) -> int:
     g = GCurve.load_csv(args.gcurve)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     noise_var = (noise_var_from_snr_db(args.snr_db) if args.snr_db is not None
                  else args.noise_var)
     coeffs = analysis.map_coefficients(noise_var, args.load, args.paths,
@@ -213,13 +204,9 @@ def cmd_fixedpoint(args) -> int:
         "unique_fixed_point_certified": uniqueness.certified,
         "trace": report.trace.tolist(),
     }
-    path = outdir / "fixedpoint.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
     print(f"D0={coeffs.d0:.5f} D1={coeffs.d1:.5f} fixed_point={report.fixed_point} "
           f"certified={report.banach_certified}")
-    _write_manifest(outdir, "fixedpoint", None, args.seed or 0,
-                    {"gcurve": str(args.gcurve)})
+    _write_outputs(args, "fixedpoint", {"fixedpoint.json": payload}, gcurve=str(args.gcurve))
     return 0
 
 
@@ -228,15 +215,11 @@ def cmd_rmt(args) -> int:
                        coherence_time=10, seed=40)
     report = rmt.empirical_eigen_moments(cfg, max_order=args.max_order,
                                          trials=args.trials)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "rmt_moments.csv"
-    report.save_csv(path)
     for i, m in enumerate(report.orders):
         print(f"m={int(m)}  analytic {report.analytic[i]:.5f}  "
               f"independent {report.empirical_independent[i]:.5f}  "
               f"shifted {report.empirical_shifted[i]:.5f}")
-    _write_manifest(outdir, "rmt", cfg, cfg.seed, {"trials": args.trials})
+    _write_outputs(args, "rmt", {"rmt_moments.csv": report}, cfg, trials=args.trials)
     return 0
 
 

@@ -133,10 +133,10 @@ class ConvolutionalCode:
 
         # flat predecessor b*S + 2*lo + survivor of each (t, b, s), so that the
         # traceback is one gather per step; terminated blocks end in state 0
-        base = (np.arange(batch, dtype=np.intp)[:, None] * n_states
-                + 2 * (np.arange(n_states, dtype=np.intp) % half))
+        base = (np.arange(batch, dtype=np.int32)[:, None] * n_states
+                + 2 * (np.arange(n_states, dtype=np.int32) % half))
         predecessors = (base + survivors).reshape(steps, batch * n_states)
-        states = np.empty((steps, batch), dtype=np.intp)   # flat state entered at t
+        states = np.empty((steps, batch), dtype=np.int32)   # flat state entered at t
         states[-1] = base[:, 0]
         for pred, entered, previous in zip(predecessors[:0:-1], states[:0:-1], states[-2::-1]):
             pred.take(entered, out=previous)

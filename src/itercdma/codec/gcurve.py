@@ -21,6 +21,9 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, DataQualityWarning, ParameterError
 
+_BATCH = 25               # codewords per Monte Carlo measurement
+_REPAIR_TOLERANCE = 0.25  # largest isotonic move, relative to the curve maximum
+
 
 @dataclass
 class GCurve:
@@ -138,15 +141,14 @@ def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.nd
     return out
 
 
-def make_gcurve(xs, pes, weights=None, label: str = "",
-                info_ber=None, repair_tolerance: float = 0.25) -> GCurve:
+def make_gcurve(xs, pes, weights=None, label: str = "", info_ber=None) -> GCurve:
     """Build a curve from raw Monte Carlo points.
 
     Applies the isotonic repair, pins the origin to zero, and guarantees a
     flat first segment (zero slope at zero) by inserting a midpoint when
     the first tabulated error rate is already positive.  A repair that
-    moves any point by more than ``repair_tolerance`` (relative to the
-    curve maximum) signals noisy data.
+    moves any point by more than a quarter of the curve maximum signals
+    noisy data.
     """
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
@@ -155,10 +157,10 @@ def make_gcurve(xs, pes, weights=None, label: str = "",
     w = None if weights is None else np.asarray(weights, float)[order]
     fitted = isotonic_fit(raw, w)
     scale = max(fitted.max(), 1e-12)
-    if np.max(np.abs(fitted - raw)) > repair_tolerance * scale:
+    if np.max(np.abs(fitted - raw)) > _REPAIR_TOLERANCE * scale:
         warnings.warn("raw decoder-curve data strongly non-monotone; "
                       "isotonic repair moved a point by more than "
-                      f"{repair_tolerance:.0%} of the curve maximum",
+                      f"{_REPAIR_TOLERANCE:.0%} of the curve maximum",
                       DataQualityWarning, stacklevel=2)
     ber = None if info_ber is None else np.asarray(info_ber, float)[order]
 
@@ -190,11 +192,9 @@ class CodedBpskSource:
         k = self.codec.info_length
         info = rng.integers(0, 2, size=(n_codewords, k), dtype=np.int8)
         coded = self.codec.encode(info)
-        noise_scale = np.sqrt(x / 2.0)
-        noisy = coded.astype(np.float64) + noise_scale * (
-            rng.standard_normal(coded.shape)
-            + 1j * rng.standard_normal(coded.shape))
-        llr = 4.0 * noisy.real / max(x, 1e-300)
+        real = rng.standard_normal(coded.shape)
+        rng.standard_normal(coded.shape)   # the imaginary part: unused, drawn to keep the stream
+        llr = 4.0 * (coded + np.sqrt(x / 2.0) * real) / max(x, 1e-300)
         info_hat, fed_back = self.codec.decode(llr)
         symbol_errors = int(np.sum(fed_back != coded))
         info_errors = int(np.sum(info_hat != info))
@@ -202,8 +202,8 @@ class CodedBpskSource:
 
 
 def estimate_gcurve(source, grid, rng: np.random.Generator,
-                    target_errors: int = 100, batch: int = 25,
-                    max_codewords: int = 400, label: str = "") -> GCurve:
+                    target_errors: int = 100, max_codewords: int = 400,
+                    label: str = "") -> GCurve:
     """Estimate the decoder curve over a grid of 1/SINR values.
 
     Each point accumulates codewords in batches until ``target_errors``
@@ -217,8 +217,8 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
     for x in grid:
         sym_err = sym_tot = inf_err = inf_tot = sent = 0
         while sym_err < target_errors and sent < max_codewords:
-            se, st, ie, it = source.measure(float(x), batch, rng)
-            sent += batch
+            se, st, ie, it = source.measure(float(x), _BATCH, rng)
+            sent += _BATCH
             sym_err += se
             sym_tot += st
             inf_err += ie

@@ -34,6 +34,7 @@ from .estimator import build_stacked_matrix
 from . import system_model as sm
 
 MAX_MOMENT_ORDER = 12
+_BOUND_CONSTANT = 1.5   # C of the reported bounds C^m m^(m-2)
 
 
 def mp_moments(stacked_load: float, max_order: int) -> np.ndarray:
@@ -125,7 +126,6 @@ def _trial_moments(config: SystemConfig, max_order: int,
 
 
 def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
-                            bound_constant: float = 1.5,
                             experiment_id: str = "rmt-moments") -> MomentReport:
     """Monte Carlo spectral moments under both code models, plus analytics.
 
@@ -149,7 +149,7 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
         samples[model] = rows
 
     orders = np.arange(1, max_order + 1)
-    bounds = bound_constant ** orders.astype(float) * orders.astype(float) ** (orders - 2.0)
+    bounds = _BOUND_CONSTANT ** orders.astype(float) * orders.astype(float) ** (orders - 2.0)
     return MomentReport(
         stacked_load=config.stacked_load,
         orders=orders,
@@ -158,7 +158,7 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
         empirical_shifted=samples["shifted"].mean(axis=0),
         stderr_independent=samples["independent"].std(axis=0, ddof=1) / np.sqrt(trials),
         stderr_shifted=samples["shifted"].std(axis=0, ddof=1) / np.sqrt(trials),
-        bound_constant=bound_constant,
+        bound_constant=_BOUND_CONSTANT,
         bounds=bounds,
         trials=trials,
     )

@@ -163,3 +163,14 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     assert proc.stderr.startswith(message.format(tmp=tmp_path))
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_failure_mid_work_leaves_no_output(tmp_path, capsys):
+    # the sampler rejects one trial per realization only once the sweep has begun
+    out = tmp_path / "never"
+    rc = main(["fig2", "--coherence-times", "10", "--trials", "1",
+               "--realizations", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "itercdma fig2: error: need at least two trials per realization\n")
+    assert not out.exists()

@@ -20,6 +20,26 @@ class GenieSource:
         return errors, self.n, errors, self.n
 
 
+def _measure_complex(codec, x, n_codewords, rng):
+    """Reference sampler: forms the complex received sample, decodes its real part."""
+    info = rng.integers(0, 2, size=(n_codewords, codec.info_length), dtype=np.int8)
+    coded = codec.encode(info)
+    noisy = coded.astype(np.float64) + np.sqrt(x / 2.0) * (
+        rng.standard_normal(coded.shape) + 1j * rng.standard_normal(coded.shape))
+    info_hat, fed_back = codec.decode(4.0 * noisy.real / max(x, 1e-300))
+    return (int(np.sum(fed_back != coded)), coded.size,
+            int(np.sum(info_hat != info)), info.size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_measure_matches_complex_reference_and_stream(conv_codec, seed):
+    source = CodedBpskSource(conv_codec)
+    for x in (0.3, 1.0, 2.5, 6.0):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert source.measure(x, 7, rng) == _measure_complex(conv_codec, x, 7, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestIsotonic:
     def test_already_monotone_unchanged(self):
         values = np.array([0.0, 0.1, 0.2, 0.5])
