@@ -44,8 +44,9 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     """Create ``--out`` and write the command's files, then the run manifest.
 
     Each command calls this once, after its work has succeeded.  ``files``
-    maps a file name to an object with ``save_csv(path)``, a dict (written
-    as JSON) or a header-plus-rows CSV table.
+    maps a file name to a header-plus-rows CSV table, a dict (written as
+    JSON) or a decoder curve, which writes itself with ``save_csv(path)``
+    so that ``GCurve.load_csv`` reads it back.
     """
     manifest = {
         "experiment": experiment,
@@ -215,11 +216,18 @@ def cmd_rmt(args) -> int:
                        coherence_time=10, seed=40)
     report = rmt.empirical_eigen_moments(cfg, max_order=args.max_order,
                                          trials=args.trials)
+    table = [["m", "analytic", "emp_indep", "emp_shifted",
+              "stderr_indep", "stderr_shifted", "bound"]]
     for i, m in enumerate(report.orders):
         print(f"m={int(m)}  analytic {report.analytic[i]:.5f}  "
               f"independent {report.empirical_independent[i]:.5f}  "
               f"shifted {report.empirical_shifted[i]:.5f}")
-    _write_outputs(args, "rmt", {"rmt_moments.csv": report}, cfg, trials=args.trials)
+        table.append([int(m), f"{report.analytic[i]:.8g}",
+                      f"{report.empirical_independent[i]:.8g}",
+                      f"{report.empirical_shifted[i]:.8g}",
+                      f"{report.stderr_independent[i]:.4g}",
+                      f"{report.stderr_shifted[i]:.4g}", f"{report.bounds[i]:.8g}"])
+    _write_outputs(args, "rmt", {"rmt_moments.csv": table}, cfg, trials=args.trials)
     return 0
 
 

@@ -39,6 +39,17 @@ class GCurve:
         self.pes = np.asarray(self.pes, dtype=float)
         if self.xs.ndim != 1 or self.xs.shape != self.pes.shape:
             raise ParameterError("xs and pes must be 1-D arrays of equal length")
+        if len(self.xs) < 2:
+            raise ParameterError(
+                f"a decoder curve needs at least two points, got {len(self.xs)}")
+        columns = [self.xs, self.pes]
+        if self.info_ber is not None:
+            self.info_ber = np.asarray(self.info_ber, dtype=float)
+            if self.info_ber.shape != self.xs.shape:
+                raise ParameterError("info_ber must have the shape of xs")
+            columns.append(self.info_ber)
+        if not all(np.all(np.isfinite(column)) for column in columns):
+            raise ParameterError("decoder curve values must be finite")
         if np.any(np.diff(self.xs) <= 0):
             raise ParameterError("xs must be strictly increasing")
         if np.any(np.diff(self.pes) < 0):
@@ -213,6 +224,9 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise ParameterError("grid abscissas must be positive (x = 1/SINR)")
+    if target_errors < 1 or max_codewords < 1:
+        raise ParameterError(f"target_errors and max_codewords must be at least 1, "
+                             f"got {target_errors} and {max_codewords}")
     pes, weights, bers = [], [], []
     for x in grid:
         sym_err = sym_tot = inf_err = inf_tot = sent = 0

@@ -127,12 +127,6 @@ class RscCode:
         return posterior
 
 
-def _check_iterations(n_iterations: int) -> int:
-    if n_iterations < 1:
-        raise ParameterError(f"turbo iterations must be at least 1, got {n_iterations}")
-    return n_iterations
-
-
 class TurboCode:
     """Rate-1/2 punctured parallel concatenation of two RSC codes."""
 
@@ -140,8 +134,10 @@ class TurboCode:
                  interleaver_seed: int = 1, n_iterations: int = 8):
         if info_length < 2:
             raise ParameterError("info_length must be at least 2")
+        if n_iterations < 1:
+            raise ParameterError(f"turbo iterations must be at least 1, got {n_iterations}")
         self.info_length = info_length
-        self.n_iterations = _check_iterations(n_iterations)
+        self.n_iterations = n_iterations
         self.rsc = RscCode(*generators)
         self.permutation = make_permutation(info_length, interleaver_seed)
         self.inverse = np.argsort(self.permutation)
@@ -161,14 +157,12 @@ class TurboCode:
         coded[:, 1::2] = parity
         return coded
 
-    def decode(self, soft: np.ndarray, n_iterations=None) -> np.ndarray:
+    def decode(self, soft: np.ndarray) -> np.ndarray:
         """Hard info decisions after iterative extrinsic exchange, (B, k)."""
         soft = np.atleast_2d(np.asarray(soft, dtype=np.float64))
         if soft.shape[1] != 2 * self.info_length:
             raise ParameterError(
                 f"soft length {soft.shape[1]} != {2 * self.info_length}")
-        iters = (self.n_iterations if n_iterations is None
-                 else _check_iterations(n_iterations))
         sys_llr = soft[:, 0::2]
         par = soft[:, 1::2]
         lp1 = np.zeros_like(par)
@@ -178,7 +172,7 @@ class TurboCode:
         sys_perm = sys_llr[:, self.permutation]
 
         ext2 = np.zeros_like(sys_llr)       # deinterleaved extrinsic of decoder 2
-        for _ in range(iters):
+        for _ in range(self.n_iterations):
             post1 = self.rsc.bcjr(sys_llr, lp1, ext2)
             ext1 = (post1 - sys_llr - ext2)[:, self.permutation]   # interleaved
             post2 = self.rsc.bcjr(sys_perm, lp2, ext1)

@@ -17,7 +17,8 @@ can be re-run in isolation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -77,17 +78,15 @@ class SystemConfig:
         """Number of unknown channel coefficients, K*L."""
         return self.n_users * self.n_paths
 
-    def with_users(self, n_users: int) -> "SystemConfig":
-        return replace(self, n_users=n_users)
-
     # ---- flat key=value (de)serialization ----
 
     def to_text(self) -> str:
-        lines = [f"{name} = {getattr(self, name)}" for name in _FIELD_ORDER]
+        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SystemConfig":
+        types = typing.get_type_hints(cls)
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -97,15 +96,16 @@ class SystemConfig:
                 raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _FIELD_TYPES:
+            if key not in types:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
             try:
-                values[key] = _FIELD_TYPES[key](val)
+                values[key] = types[key](val)
             except ValueError:
-                kind = _FIELD_TYPES[key].__name__
+                kind = types[key].__name__
                 raise ConfigurationError(
                     f"line {lineno}: {key} expects {kind}, got {val!r}") from None
-        missing = [k for k in ("n_users", "spreading_gain") if k not in values]
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in values]
         if missing:
             raise ConfigurationError(f"missing required keys: {missing}")
         return cls(**values)
@@ -126,14 +126,6 @@ class SystemConfig:
     def digest(self) -> str:
         """Stable short hash of the full configuration."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
-
-
-_FIELD_ORDER = ("n_users", "spreading_gain", "n_paths", "coherence_time",
-                "n_training", "noise_var", "code_model", "seed")
-_FIELD_TYPES = {
-    "n_users": int, "spreading_gain": int, "n_paths": int, "coherence_time": int,
-    "n_training": int, "noise_var": float, "code_model": str, "seed": int,
-}
 
 
 def noise_var_from_snr_db(snr_db: float) -> float:

@@ -52,56 +52,42 @@ from . import system_model as sm
 
 @dataclass
 class StackedMatrix:
-    """Stacked real code matrix (N*B, K*L) and the periods it stacks."""
+    """Stacked real code matrix (N*B, K*L) of the B periods it stacks."""
 
     matrix: np.ndarray
-    blocks: np.ndarray            # symbol periods that were stacked
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    n_blocks: int
 
 
-def build_stacked_matrix(codes: np.ndarray,
-                         symbols: np.ndarray,
-                         blocks=None) -> StackedMatrix:
-    """Stack per-period code matrices (M, K, L, N) with symbol signs applied.
+def build_stacked_matrix(codes: np.ndarray, symbols: np.ndarray) -> StackedMatrix:
+    """Stack per-period code matrices (B, K, L, N) with symbol signs applied.
 
-    ``symbols`` is the (K, M) array of +-1 values actually believed by the
-    estimator: true symbols, decision feedback, or a mix.  Column ``i`` of
-    the result belongs to user ``i // L``, path ``i % L``; with all M
-    periods stacked every column has norm sqrt(M).
+    ``symbols`` is the (K, B) array of +-1 values actually believed by the
+    estimator: true symbols, decision feedback, or a mix.  Every period
+    handed in is stacked; a caller using only some periods passes those.
+    Column ``i`` of the result belongs to user ``i // L``, path ``i % L``;
+    with B periods stacked every column has norm sqrt(B).
     """
     m, k, l, n = codes.shape
     symbols = np.asarray(symbols)
     if symbols.shape != (k, m):
         raise ParameterError(f"symbols shape {symbols.shape}, expected {(k, m)}")
-    if blocks is None:
-        blocks = np.arange(m)
-        picked, signs = codes, symbols.T
-    else:
-        blocks = np.asarray(blocks, dtype=int)
-        if blocks.size == 0:
-            raise ParameterError("block subset must be nonempty")
-        picked, signs = codes[blocks], symbols.T[blocks]
     # one pass from a transposed view, rows (period, chip) and columns (user,
     # path); the signs repeat over the L paths, and a +-1 product is exact
     dtype = np.result_type(codes, symbols)
-    out = np.empty((len(blocks), n, k * l), dtype=dtype)
-    np.multiply(picked.reshape(len(blocks), k * l, n).transpose(0, 2, 1),
-                np.repeat(signs.astype(dtype), l, axis=1)[:, None, :], out=out)
-    return StackedMatrix(matrix=out.reshape(len(blocks) * n, k * l), blocks=blocks)
+    out = np.empty((m, n, k * l), dtype=dtype)
+    np.multiply(codes.reshape(m, k * l, n).transpose(0, 2, 1),
+                np.repeat(symbols.T.astype(dtype), l, axis=1)[:, None, :], out=out)
+    return StackedMatrix(matrix=out.reshape(m * n, k * l), n_blocks=m)
 
 
 @dataclass
 class ChannelEstimate:
-    """Least-squares gain estimate, its Gram matrix and the solver's report.
+    """Least-squares gain estimate and the solver's report.
 
     ``solve_info.residual`` is ||R a_hat - y|| / ||y|| = ||S^T (r - S a_hat)|| / ||y||.
     """
 
     gains_flat: np.ndarray        # (K*L,) complex
-    gram: np.ndarray              # R = S^T S, real (K*L, K*L)
     solve_info: SolveResult
 
     def gains_matrix(self, n_paths: int) -> np.ndarray:
@@ -120,7 +106,7 @@ def ml_estimate(stacked: StackedMatrix, received_vec: np.ndarray) -> ChannelEsti
     gram = s.T @ s
     proj = _real_matmul(s.T, received_vec)
     result = solve_normal_equations(gram, proj)
-    return ChannelEstimate(gains_flat=result.solution, gram=gram, solve_info=result)
+    return ChannelEstimate(gains_flat=result.solution, solve_info=result)
 
 
 @dataclass

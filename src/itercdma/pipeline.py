@@ -37,7 +37,7 @@ realized iteration-0 error rate.  Everything is reproducible from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class IterationTrace:
     residual_interference_power: np.ndarray
     predicted_error_rate: np.ndarray | None
     per_trial_feedback: np.ndarray       # (trials, iterations+1)
-    n_trials: int
 
     @property
     def final_info_ber(self) -> float:
@@ -178,7 +177,7 @@ def run_iterative_receiver(config: SystemConfig,
 
         for d in range(n_iter + 1):
             genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
-            periods = np.arange(m_t if d == 0 else m)
+            p = m_t if d == 0 else m       # the pilots at initialization, then all periods
             mse_acc = res_acc = 0.0
             for b in range(n_blocks):
                 codes = sm.codes_from_signs(signs[b])
@@ -186,9 +185,8 @@ def run_iterative_receiver(config: SystemConfig,
                 if genie:
                     ests[b] = channels[b]
                 else:
-                    stacked = build_stacked_matrix(codes, believed[b], blocks=periods)
-                    ests[b] = ml_estimate(stacked, chips[b, periods].reshape(-1)) \
-                        .gains_matrix(ll)
+                    stacked = build_stacked_matrix(codes[:p], believed[b, :, :p])
+                    ests[b] = ml_estimate(stacked, chips[b, :p].reshape(-1)).gains_matrix(ll)
                     mse_acc += np.mean(np.abs(ests[b] - channels[b]) ** 2)
                 if d == 0:
                     soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,
@@ -236,7 +234,6 @@ def run_iterative_receiver(config: SystemConfig,
         residual_interference_power=sigi.mean(axis=0),
         predicted_error_rate=predicted,
         per_trial_feedback=pe,
-        n_trials=trials,
     )
 
 
@@ -275,7 +272,7 @@ def capacity_search(config_template: SystemConfig,
         n_users = max(1, round(load * config_template.spreading_gain))
         if n_users in cache:
             return cache[n_users]
-        cfg = config_template.with_users(n_users)
+        cfg = replace(config_template, n_users=n_users)
         try:
             trace = run_iterative_receiver(
                 cfg, codec, g=g, iterations=iterations, trials=trials,

@@ -22,7 +22,6 @@ problem determinate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from dataclasses import replace
 
@@ -61,9 +60,10 @@ def mp_moments(stacked_load: float, max_order: int) -> np.ndarray:
     return moments[1:]
 
 
-def mp_moment(stacked_load: float, order: int) -> float:
-    """Single spectral moment E[lam^order]."""
-    return float(mp_moments(stacked_load, order)[-1])
+def _moment_bounds(constant: float, max_order: int) -> np.ndarray:
+    """The bounds C^m m^(m-2) for m = 1..max_order."""
+    orders = np.arange(1, max_order + 1, dtype=float)
+    return constant ** orders * orders ** (orders - 2)
 
 
 def moment_bound_check(stacked_load: float, constant: float,
@@ -72,10 +72,7 @@ def moment_bound_check(stacked_load: float, constant: float,
     if constant <= max(1.0, stacked_load):
         raise ParameterError(
             f"constant must exceed max(1, stacked_load) = {max(1.0, stacked_load):g}")
-    moments = mp_moments(stacked_load, max_order)
-    orders = np.arange(1, max_order + 1, dtype=float)
-    bounds = constant ** orders * orders ** (orders - 2)
-    return moments < bounds
+    return mp_moments(stacked_load, max_order) < _moment_bounds(constant, max_order)
 
 
 @dataclass
@@ -92,19 +89,6 @@ class MomentReport:
     bound_constant: float
     bounds: np.ndarray
     trials: int
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "analytic", "emp_indep", "emp_shifted",
-                             "stderr_indep", "stderr_shifted", "bound"])
-            for i, m in enumerate(self.orders):
-                writer.writerow([int(m), f"{self.analytic[i]:.8g}",
-                                 f"{self.empirical_independent[i]:.8g}",
-                                 f"{self.empirical_shifted[i]:.8g}",
-                                 f"{self.stderr_independent[i]:.4g}",
-                                 f"{self.stderr_shifted[i]:.4g}",
-                                 f"{self.bounds[i]:.8g}"])
 
 
 def _trial_moments(config: SystemConfig, max_order: int,
@@ -148,17 +132,15 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
             rows[t] = _trial_moments(cfg, max_order, rng)
         samples[model] = rows
 
-    orders = np.arange(1, max_order + 1)
-    bounds = _BOUND_CONSTANT ** orders.astype(float) * orders.astype(float) ** (orders - 2.0)
     return MomentReport(
         stacked_load=config.stacked_load,
-        orders=orders,
+        orders=np.arange(1, max_order + 1),
         analytic=analytic,
         empirical_independent=samples["independent"].mean(axis=0),
         empirical_shifted=samples["shifted"].mean(axis=0),
         stderr_independent=samples["independent"].std(axis=0, ddof=1) / np.sqrt(trials),
         stderr_shifted=samples["shifted"].std(axis=0, ddof=1) / np.sqrt(trials),
         bound_constant=_BOUND_CONSTANT,
-        bounds=bounds,
+        bounds=_moment_bounds(_BOUND_CONSTANT, max_order),
         trials=trials,
     )

@@ -32,3 +32,8 @@ def test_traced_stage_checks_run_is_correct():
 
 def test_loop_turbo_run_is_correct():
     _assert_run_correct("loop_turbo", trace=0)
+
+
+def test_traced_loop_conv_run_is_correct():
+    # the traced receiver loop runs ml_estimate, build_stacked_matrix, LMMSE and PIC
+    _assert_run_correct("loop_conv", trace=1)

@@ -94,8 +94,10 @@ def test_rmt_moment_table(tmp_path):
                "--max-order", "3", "--seed", "8"])
     assert rc == 0
     rows = _read_csv(out / "rmt_moments.csv")
-    assert rows[0][0] == "m"
+    assert rows[0] == ["m", "analytic", "emp_indep", "emp_shifted",
+                       "stderr_indep", "stderr_shifted", "bound"]
     assert len(rows) == 4
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
     assert float(rows[1][1]) == pytest.approx(0.2)
 
 
@@ -149,9 +151,21 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fixedpoint: error: {tmp}/bad.csv, line 1: "),
     (["rmt", "--max-order", "13"],
      "itercdma rmt: error: moment order 13 exceeds the cost guard (12)"),
-], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard"])
+    (["gcurve", "--max-codewords", "0"],
+     "itercdma gcurve: error: target_errors and max_codewords must be at least 1"),
+    (["gcurve", "--target-errors", "0"],
+     "itercdma gcurve: error: target_errors and max_codewords must be at least 1"),
+    (["fixedpoint", "--gcurve", "{tmp}/one_point.csv"],
+     "itercdma fixedpoint: error: a decoder curve needs at least two points, got 1"),
+    (["fixedpoint", "--gcurve", "{tmp}/nan_cell.csv"],
+     "itercdma fixedpoint: error: decoder curve values must be finite"),
+], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
+        "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
+        "fixedpoint_nan_cell"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
+    (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
+    (tmp_path / "nan_cell.csv").write_text("x,pe\n0.0,0.0\n1.0,nan\n2.0,0.3\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     src = str(Path(itercdma.__file__).resolve().parents[1])

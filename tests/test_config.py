@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ def test_derived_loads_recomputed():
     assert cfg.training_fraction == 0.2
     assert cfg.stacked_load == pytest.approx(100 / 2500)
     assert cfg.n_gains == 100
-    assert cfg.with_users(50).load == 0.5
+    assert dataclasses.replace(cfg, n_users=50).load == 0.5
 
 
 @pytest.mark.parametrize("kwargs", [

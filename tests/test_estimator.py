@@ -29,7 +29,7 @@ def _refit_leave_one_out(codes, symbols, chips):
     out = []
     for t in range(m):
         kept = np.delete(np.arange(m), t)
-        stacked = build_stacked_matrix(codes, symbols, blocks=kept)
+        stacked = build_stacked_matrix(codes[kept], symbols[:, kept])
         out.append(ml_estimate(stacked, chips[kept].reshape(-1)).gains_flat)
     return np.array(out)
 
@@ -96,15 +96,14 @@ class TestStackedMatrix:
                                 * codes[m_hit, k_hit].T)
         np.testing.assert_allclose(delta, expected, atol=1e-12)
 
-    def test_block_subset_and_empty_subset(self):
+    def test_block_subset_matches_full_stack_rows(self):
         cfg = SystemConfig(n_users=2, spreading_gain=8, n_paths=1,
                            coherence_time=5, seed=5)
         _, codes, symbols, _, _, _ = _frame(cfg, 5)
-        sub = build_stacked_matrix(codes, symbols, blocks=[1, 3])
+        sub = build_stacked_matrix(codes[[1, 3]], symbols[:, [1, 3]])
         full = build_stacked_matrix(codes, symbols).matrix
         np.testing.assert_array_equal(sub.matrix, np.concatenate([full[8:16], full[24:32]]))
-        with pytest.raises(ParameterError):
-            build_stacked_matrix(codes, symbols, blocks=[])
+        assert sub.n_blocks == 2
 
     @pytest.mark.parametrize("blocks", [None, [1, 3, 4], [5, 0, 3]],
                              ids=["all", "subset", "permuted"])
@@ -115,9 +114,9 @@ class TestStackedMatrix:
         picked = np.arange(6) if blocks is None else np.asarray(blocks)
         signed = codes[picked] * symbols.T[picked, :, None, None]
         ref = signed.reshape(len(picked), 12, 8).transpose(0, 2, 1).reshape(-1, 12)
-        stacked = build_stacked_matrix(codes, symbols, blocks=blocks)
+        stacked = build_stacked_matrix(codes[picked], symbols[:, picked])
         assert np.array_equal(stacked.matrix, ref)
-        assert np.array_equal(stacked.blocks, picked)
+        assert stacked.n_blocks == len(picked)
 
 
 class TestMlEstimate:
@@ -134,9 +133,10 @@ class TestMlEstimate:
         cfg = SystemConfig(n_users=4, spreading_gain=16, n_paths=2,
                            coherence_time=12, noise_var=0.1, seed=7)
         _, codes, symbols, _, chips, _ = _frame(cfg, 7)
-        est = ml_estimate(build_stacked_matrix(codes, symbols),
-                          chips.reshape(-1))
-        np.testing.assert_allclose(np.diag(est.gram), 12.0, atol=1e-12)
+        stacked = build_stacked_matrix(codes, symbols)
+        est = ml_estimate(stacked, chips.reshape(-1))
+        np.testing.assert_allclose(np.diag(stacked.matrix.T @ stacked.matrix), 12.0,
+                                   atol=1e-12)
         # normal-equation orthogonality holds to solver precision
         assert est.solve_info.residual < 1e-8
 
@@ -171,9 +171,9 @@ class TestMlEstimate:
         cfg = SystemConfig(n_users=8, spreading_gain=8, n_paths=2,
                            coherence_time=6, seed=10)
         _, codes, symbols, _, chips, _ = _frame(cfg, 10)
-        stacked = build_stacked_matrix(codes, symbols, blocks=[0])
+        stacked = build_stacked_matrix(codes[:1], symbols[:, :1])
         with pytest.raises(RankError):
-            ml_estimate(stacked, chips[[0]].reshape(-1))
+            ml_estimate(stacked, chips[:1].reshape(-1))
 
 
 class TestDecomposition:

@@ -65,6 +65,17 @@ class TestGCurveShape:
         with pytest.raises(ParameterError):
             GCurve(xs=np.array([0.0, 1.0, 2.0]), pes=np.array([0.0, 0.2, 0.1]))
 
+    @pytest.mark.parametrize("xs, pes, info_ber, match", [
+        ([0.0], [0.0], None, "at least two points"),
+        ([0.0, np.nan], [0.0, 0.1], None, "finite"),
+        ([0.0, 1.0], [0.0, np.inf], None, "finite"),
+        ([0.0, 1.0], [0.0, 0.1], [0.0, np.nan], "finite"),
+        ([0.0, 1.0], [0.0, 0.1], [0.0], "shape of xs"),
+    ], ids=["one_point", "nan_x", "inf_pe", "nan_info_ber", "short_info_ber"])
+    def test_degenerate_curve_rejected(self, xs, pes, info_ber, match):
+        with pytest.raises(ParameterError, match=match):
+            GCurve(xs=np.array(xs), pes=np.array(pes), info_ber=info_ber)
+
     def test_noisy_points_repaired_with_warning(self):
         xs = [0.5, 1.0, 1.5, 2.0]
         with pytest.warns(DataQualityWarning):
