@@ -216,18 +216,12 @@ def cmd_rmt(args) -> int:
                        coherence_time=10, seed=40)
     report = rmt.empirical_eigen_moments(cfg, max_order=args.max_order,
                                          trials=args.trials)
-    table = [["m", "analytic", "emp_indep", "emp_shifted",
-              "stderr_indep", "stderr_shifted", "bound"]]
     for i, m in enumerate(report.orders):
         print(f"m={int(m)}  analytic {report.analytic[i]:.5f}  "
               f"independent {report.empirical_independent[i]:.5f}  "
               f"shifted {report.empirical_shifted[i]:.5f}")
-        table.append([int(m), f"{report.analytic[i]:.8g}",
-                      f"{report.empirical_independent[i]:.8g}",
-                      f"{report.empirical_shifted[i]:.8g}",
-                      f"{report.stderr_independent[i]:.4g}",
-                      f"{report.stderr_shifted[i]:.4g}", f"{report.bounds[i]:.8g}"])
-    _write_outputs(args, "rmt", {"rmt_moments.csv": table}, cfg, trials=args.trials)
+    _write_outputs(args, "rmt", {"rmt_moments.csv": report.table()}, cfg,
+                   trials=args.trials)
     return 0
 
 

@@ -90,6 +90,18 @@ class MomentReport:
     bounds: np.ndarray
     trials: int
 
+    def table(self) -> list:
+        """The moment table as a header row plus one row per order, for CSV."""
+        rows = [["m", "analytic", "emp_indep", "emp_shifted",
+                 "stderr_indep", "stderr_shifted", "bound"]]
+        for i, m in enumerate(self.orders):
+            rows.append([int(m), f"{self.analytic[i]:.8g}",
+                         f"{self.empirical_independent[i]:.8g}",
+                         f"{self.empirical_shifted[i]:.8g}",
+                         f"{self.stderr_independent[i]:.4g}",
+                         f"{self.stderr_shifted[i]:.4g}", f"{self.bounds[i]:.8g}"])
+        return rows
+
 
 def _trial_moments(config: SystemConfig, max_order: int,
                    rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,21 @@ class TestEmpiricalMoments:
         combined = np.hypot(report.stderr_independent, report.stderr_shifted)
         gaps = np.abs(report.empirical_independent - report.empirical_shifted)
         assert np.all(gaps < 3 * combined)
+
+    def test_csv_export(self, report, tmp_path):
+        path = tmp_path / "moments.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(report.table())
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["m", "analytic", "emp_indep", "emp_shifted",
+                          "stderr_indep", "stderr_shifted", "bound"]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+        values = np.array(rows, dtype=float)
+        np.testing.assert_allclose(values[:, 1], report.analytic, rtol=1e-7)
+        np.testing.assert_allclose(values[:, 2], report.empirical_independent, rtol=1e-7)
+        np.testing.assert_allclose(values[:, 3], report.empirical_shifted, rtol=1e-7)
+        np.testing.assert_allclose(values[:, 6], report.bounds, rtol=1e-7)
 
 
 def test_shifted_model_gap_shrinks_with_user_count():
