@@ -154,6 +154,8 @@ def map_coefficients(noise_var: float, load: float, n_paths: float,
                      coherence_time: float) -> MapCoefficients:
     if coherence_time < 1:
         raise ParameterError("coherence_time must be at least 1")
+    if load < 0 or n_paths < 1:
+        raise ParameterError("load must be nonnegative and n_paths at least 1")
     s, b, l, m = noise_var, load, n_paths, coherence_time
     d0 = s * (1.0 + b * l / m + l * s / m)
     d1 = 4.0 * (b + (b + s * b * l ** 2 + b ** 2 * l + s * l + l * b * s

@@ -169,14 +169,12 @@ def cmd_capacity(args) -> int:
     configs = [dataclasses.replace(cfg, coherence_time=m,
                                    n_training=max(1, round(cfg.training_fraction * m)))
                for m in args.coherence_times]
-    g = GCurve.load_csv(args.gcurve) if args.gcurve else None
     codec = make_codec(_codec_spec(args.codec))
     table = [["M", "mode", "beta_max"]]
     for m, cfg_m in zip(args.coherence_times, configs):
         for mode in args.modes:
             result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
-                                     g=g, trials=args.trials,
-                                     iterations=args.iterations)
+                                     trials=args.trials, iterations=args.iterations)
             table.append([m, mode, result.max_load])
             print(f"M={m:3d}  {mode:13s}  beta_max = {result.max_load:.2f}")
     _write_outputs(args, "capacity", {"capacity.csv": table}, cfg, codec=args.codec,
@@ -241,6 +239,14 @@ def _mode(name: str) -> str:
     return name
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type: a float that is not negative."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be nonnegative")
+    return value
+
+
 def _grid(text: str) -> tuple[float, float, int]:
     """argparse type: ``lo:hi:count`` with a positive count."""
     try:
@@ -298,14 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-ber", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--gcurve", default=None, help="stored curve for map predictions")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("fixedpoint", help="scalar-map analysis from a stored curve")
     common(p)
     p.add_argument("--gcurve", required=True)
     p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--noise-var", type=float, default=0.3162)
+    p.add_argument("--noise-var", type=_nonnegative, default=0.3162)
     p.add_argument("--load", type=float, default=0.5)
     p.add_argument("--paths", type=int, default=5)
     p.add_argument("--coherence-time", type=int, default=20)

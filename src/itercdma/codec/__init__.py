@@ -17,14 +17,14 @@ from ..exceptions import ParameterError
 from .convolutional import ConvolutionalCode
 from .gcurve import (CodedBpskSource, GCurve, estimate_gcurve, isotonic_fit,
                      make_gcurve)
-from .interleaver import deinterleave, interleave, make_permutation
+from .interleaver import make_permutation
 from .turbo import RscCode, TurboCode
 
 __all__ = [
     "CodecSpec", "ChannelCodec", "make_codec",
     "ConvolutionalCode", "TurboCode", "RscCode",
     "GCurve", "CodedBpskSource", "estimate_gcurve", "make_gcurve", "isotonic_fit",
-    "interleave", "deinterleave", "make_permutation",
+    "make_permutation",
 ]
 
 
@@ -73,6 +73,7 @@ class ChannelCodec:
                                    n_iterations=spec.turbo_iterations)
         self.permutation = make_permutation(spec.codeword_length,
                                             spec.interleaver_seed)
+        self.inverse = np.argsort(self.permutation)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Info bits (B, k) -> channel-interleaved +-1 symbols (B, n)."""
@@ -82,7 +83,7 @@ class ChannelCodec:
                 f"info length {info_bits.shape[1]} != {self.info_length}")
         bits = self._core.encode(info_bits)
         symbols = (1 - 2 * bits).astype(np.int8)
-        return interleave(symbols, self.permutation)
+        return symbols[:, self.permutation]
 
     def decode(self, soft_llr: np.ndarray):
         """Soft LLRs (B, n) -> (info decisions (B, k), feedback symbols (B, n)).
@@ -94,7 +95,7 @@ class ChannelCodec:
         if soft_llr.shape[1] != self.codeword_length:
             raise ParameterError(
                 f"soft input length {soft_llr.shape[1]} != {self.codeword_length}")
-        ordered = deinterleave(soft_llr, self.permutation)
+        ordered = soft_llr[:, self.inverse]
         if self.spec.family == "convolutional":
             info = self._core.viterbi_decode(ordered)
         else:

@@ -1,30 +1,15 @@
 """Seeded uniform-random symbol interleaving.
 
-The permutation is drawn once from the seed; ``interleave`` reads through
-it (y[i] = x[perm[i]]) and ``deinterleave`` inverts it exactly.
+The permutation is drawn once from the seed.  Callers read through it
+(``y = x[..., perm]``) and undo it with its inverse,
+``x = y[..., np.argsort(perm)]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ParameterError
-
 
 def make_permutation(length: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.permutation(length)
-
-
-def interleave(values: np.ndarray, permutation: np.ndarray) -> np.ndarray:
-    if values.shape[-1] != permutation.shape[0]:
-        raise ParameterError("length mismatch between values and permutation")
-    return values[..., permutation]
-
-
-def deinterleave(values: np.ndarray, permutation: np.ndarray) -> np.ndarray:
-    if values.shape[-1] != permutation.shape[0]:
-        raise ParameterError("length mismatch between values and permutation")
-    out = np.empty_like(values)
-    out[..., permutation] = values
-    return out

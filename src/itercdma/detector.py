@@ -91,33 +91,33 @@ class PicFrameDetection:
     self_crosstalk: np.ndarray    # (M, K, L) own-path leakage
 
 
-def pic_mrc_frame(mf: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
+def pic_mrc_frame(chips: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
                   feedback: np.ndarray, true_gains: np.ndarray,
                   true_symbols: np.ndarray) -> PicFrameDetection:
     """Cancel all other users' reconstructed signals, then MRC per user.
 
-    ``mf`` is the (M, K, L) matched-filter output; ``est_gains`` is (K, L)
-    or per-period (M, K, L); ``true_gains`` is (K, L);
-    ``feedback``/``true_symbols`` are (K, M).  Reconstruction uses
-    estimated gain times fed-back symbol, exactly; no partial weighting.
-    The true gains and symbols give the per-path residual and the
-    (uncancelled) own-path crosstalk for truth-assisted statistics; the
-    identity
+    ``chips`` is the (M, N) received frame; ``est_gains`` is (K, L) or
+    per-period (M, K, L); ``true_gains`` is (K, L);
+    ``feedback``/``true_symbols`` are (K, M).  Every user's reconstruction
+    (estimated gain times fed-back symbol, exactly; no partial weighting)
+    leaves the chips, one matched filter projects what is left, and each
+    user's own reconstructed paths are added back.  The true gains and
+    symbols give the per-path residual and the (uncancelled) own-path
+    crosstalk for truth-assisted statistics; the identity
 
         combined_k = sum_l est*_{kl} (a_kl b_k + crosstalk_kl + residual_kl)
 
     holds to machine precision in every period.
     """
     m, k, l, n = codes.shape
-    flat = codes.reshape(m, k * l, n)
     est = np.broadcast_to(est_gains, (m, k, l)) if est_gains.ndim == 2 else est_gains
     fb = feedback.T.astype(np.float64)                                # (M, K)
     amp = est * fb[:, :, None]
-    recon = _real_matmul(flat.transpose(0, 2, 1), amp.reshape(m, k * l, 1))  # (M, N, 1)
+    recon = _real_matmul(codes.reshape(m, k * l, n).transpose(0, 2, 1),
+                         amp.reshape(m, k * l, 1))[..., 0]            # (M, N)
     own_gram = codes @ codes.transpose(0, 1, 3, 2)                    # (M, K, L, L)
-    full_proj = _real_matmul(flat, recon).reshape(m, k, l)
     own_proj = _real_matmul(own_gram, amp[..., None])[..., 0]
-    cleaned = mf - (full_proj - own_proj)
+    cleaned = matched_filter_frame(chips - recon, codes) + own_proj
     combined = np.sum(est.conj() * cleaned, axis=2)
     sym = true_symbols.T.astype(np.float64)                           # (M, K)
     own_true = _real_matmul(own_gram, true_gains[..., None])[..., 0]
@@ -201,8 +201,7 @@ def measure_pic_stats(config: SystemConfig,
                 stacked = build_stacked_matrix(codes, feedback)
                 est = leave_one_out_estimates_fast(stacked, chips).reshape(m, kk, ll)
 
-            mf = matched_filter_frame(chips, codes)
-            det = pic_mrc_frame(mf, codes, est, feedback,
+            det = pic_mrc_frame(chips, codes, est, feedback,
                                 true_gains=gains, true_symbols=symbols)
             signal = np.sum(est.conj() * gains, axis=-1)               # (K,) or (M, K)
             b = symbols.T.astype(np.float64)                          # (M, K)

@@ -29,9 +29,9 @@ Modes
 
 The trace records, per iteration, the realized feedback symbol error rate,
 info-bit error rate, truth-assisted estimation MSE and residual
-interference power, along with the scalar-map prediction seeded by the
-realized iteration-0 error rate.  Everything is reproducible from
-(config.seed, experiment_id).
+interference power.  The scalar map that predicts this trajectory lives in
+:mod:`itercdma.analysis` (``iterate_map``).  Everything is reproducible
+from (config.seed, experiment_id).
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ import numpy as np
 from . import analysis
 from . import system_model as sm
 from .codec import ChannelCodec
-from .codec.gcurve import GCurve
 from .config import SystemConfig, derive_stream
-from .detector import (lmmse_detect_frame, lmmse_llrs, matched_filter_frame,
-                       pic_mrc_frame)
+from .detector import lmmse_detect_frame, lmmse_llrs, pic_mrc_frame
 from .estimator import build_stacked_matrix, ml_estimate
 from .exceptions import ConfigurationError, RankError
 
@@ -64,7 +62,6 @@ class IterationTrace:
     info_bit_error_rate: np.ndarray
     est_error_power: np.ndarray          # (1/KL) sum |a_hat - a|^2, NaN for genie
     residual_interference_power: np.ndarray
-    predicted_error_rate: np.ndarray | None
     per_trial_feedback: np.ndarray       # (trials, iterations+1)
 
     @property
@@ -137,7 +134,6 @@ def _draw_blocks(config, data, trial_tag):
 
 def run_iterative_receiver(config: SystemConfig,
                            codec: ChannelCodec,
-                           g: GCurve | None = None,
                            iterations: int = 6,
                            trials: int = 1,
                            mode: str = "iterative",
@@ -152,6 +148,8 @@ def run_iterative_receiver(config: SystemConfig,
         raise ConfigurationError(f"mode must be one of {MODES}")
     if iterations < 1 and mode != "lmmse_only":
         raise ConfigurationError("iterations must be at least 1")
+    if trials < 1:
+        raise ConfigurationError("trials must be at least 1")
     if mode in ("iterative", "lmmse_only") and config.n_training < 1:
         raise ConfigurationError(f"mode {mode!r} needs at least one training period")
     n_iter = 0 if mode == "lmmse_only" else iterations
@@ -192,9 +190,8 @@ def run_iterative_receiver(config: SystemConfig,
                     soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,
                                                           ests[b], config.noise_var)
                 else:
-                    mf = matched_filter_frame(chips[b, m_t:], data_codes)
-                    det = pic_mrc_frame(mf, data_codes, ests[b], believed[b, :, m_t:],
-                                        true_gains=channels[b],
+                    det = pic_mrc_frame(chips[b, m_t:], data_codes, ests[b],
+                                        believed[b, :, m_t:], true_gains=channels[b],
                                         true_symbols=symbols[b, :, m_t:])
                     soft[b] = det.combined
                     res_acc += float(np.sum(np.abs(det.residual) ** 2))
@@ -217,22 +214,12 @@ def run_iterative_receiver(config: SystemConfig,
                 break
             believed[..., m_t:] = feedback
 
-    predicted = None
-    if g is not None and n_iter > 0:
-        coeffs = analysis.map_coefficients(config.noise_var, config.load,
-                                           ll, m)
-        predicted = np.empty(n_iter + 1)
-        predicted[0] = pe[:, 0].mean()
-        for d in range(1, n_iter + 1):
-            predicted[d] = float(g(coeffs.d0 + coeffs.d1 * predicted[d - 1]))
-
     return IterationTrace(
         mode=mode, config=config,
         feedback_error_rate=pe.mean(axis=0),
         info_bit_error_rate=ber.mean(axis=0),
         est_error_power=dmse.mean(axis=0),
         residual_interference_power=sigi.mean(axis=0),
-        predicted_error_rate=predicted,
         per_trial_feedback=pe,
     )
 
@@ -251,7 +238,6 @@ def capacity_search(config_template: SystemConfig,
                     codec: ChannelCodec,
                     mode: str,
                     target_ber: float = 1e-3,
-                    g: GCurve | None = None,
                     load_min: float = 0.05,
                     load_max: float = 2.0,
                     resolution: float = 0.05,
@@ -275,7 +261,7 @@ def capacity_search(config_template: SystemConfig,
         cfg = replace(config_template, n_users=n_users)
         try:
             trace = run_iterative_receiver(
-                cfg, codec, g=g, iterations=iterations, trials=trials,
+                cfg, codec, iterations=iterations, trials=trials,
                 mode=mode, experiment_id=f"{experiment_id}/{mode}")
             ok = trace.final_info_ber <= target_ber
             probes.append((load, trace.final_info_ber, ok))

@@ -133,8 +133,11 @@ def test_config_file_override(tmp_path):
     ["gcurve", "--grid", "1:2"],
     ["gcurve", "--grid", "1:2:0"],
     ["fig2", "--coherence-times", "10,abc"],
+    ["capacity", "--gcurve", "curve.csv", "--coherence-times", "10",
+     "--trials", "1", "--iterations", "1"],
+    ["fixedpoint", "--gcurve", "curve.csv", "--noise-var", "-1"],
 ], ids=["capacity_unknown_mode", "gcurve_short_grid", "gcurve_empty_grid",
-        "fig2_non_integer_m"])
+        "fig2_non_integer_m", "capacity_no_gcurve_option", "fixedpoint_negative_noise_var"])
 def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as info:
@@ -159,13 +162,23 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fixedpoint: error: a decoder curve needs at least two points, got 1"),
     (["fixedpoint", "--gcurve", "{tmp}/nan_cell.csv"],
      "itercdma fixedpoint: error: decoder curve values must be finite"),
+    (["capacity", "--trials", "0"],
+     "itercdma capacity: error: trials must be at least 1"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--load", "-0.5"],
+     "itercdma fixedpoint: error: load must be nonnegative and n_paths at least 1"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--paths", "0"],
+     "itercdma fixedpoint: error: load must be nonnegative and n_paths at least 1"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--paths", "-3"],
+     "itercdma fixedpoint: error: load must be nonnegative and n_paths at least 1"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
-        "fixedpoint_nan_cell"])
+        "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
+        "fixedpoint_zero_paths", "fixedpoint_negative_paths"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
     (tmp_path / "nan_cell.csv").write_text("x,pe\n0.0,0.0\n1.0,nan\n2.0,0.3\n")
+    (tmp_path / "good.csv").write_text("x,pe\n0.0,0.0\n1.0,0.1\n2.0,0.3\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     src = str(Path(itercdma.__file__).resolve().parents[1])

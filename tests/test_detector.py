@@ -149,13 +149,34 @@ def _pic_oracle(chips, codes, est, feedback, true_gains, true_symbols):
     return combined, residual
 
 
+def _pic_mf_reference(chips, codes, est, feedback, true_gains, true_symbols):
+    """PIC + MRC on matched-filter outputs: subtract the projections instead.
+
+    Matched-filter the raw chips first, then subtract the projection of
+    every user's reconstruction onto each path's code and add back the
+    user's own reconstructed paths.
+    """
+    m, k, l, n = codes.shape
+    flat = codes.reshape(m, k * l, n)
+    est = np.broadcast_to(est, (m, k, l))
+    amp = est * feedback.T[:, :, None]
+    recon = np.einsum("mjn,mj->mn", flat, amp.reshape(m, k * l))
+    own_gram = codes @ codes.transpose(0, 1, 3, 2)
+    full_proj = np.einsum("mjn,mn->mj", flat, recon).reshape(m, k, l)
+    own_proj = np.einsum("mkab,mkb->mka", own_gram, amp)
+    cleaned = matched_filter_frame(chips, codes) - (full_proj - own_proj)
+    sym = true_symbols.T[:, :, None]
+    crosstalk = sym * (np.einsum("mkab,kb->mka", own_gram, true_gains) - true_gains)
+    residual = cleaned - true_gains * sym - crosstalk
+    return np.sum(est.conj() * cleaned, axis=2), residual, crosstalk
+
+
 class TestPic:
     def test_perfect_cancellation_leaves_own_user_terms(self):
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=3,
                            coherence_time=4, noise_var=0.0, seed=9)
         gains, codes, symbols, feedback, chips, noise = _frame(cfg, 9, 0.0)
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, gains, feedback,
+        det = pic_mrc_frame(chips, codes, gains, feedback,
                             true_gains=gains, true_symbols=symbols)
         # residual carries nothing: no noise, no feedback error, true gains
         np.testing.assert_allclose(det.residual, 0.0, atol=1e-12)
@@ -170,8 +191,7 @@ class TestPic:
                            coherence_time=4, noise_var=0.4, seed=10)
         gains, codes, symbols, feedback, chips, _ = _frame(cfg, 10, 0.1)
         est = gains * (0.9 + 0.05j)   # any estimate
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, est, feedback,
+        det = pic_mrc_frame(chips, codes, est, feedback,
                             true_gains=gains, true_symbols=symbols)
         rebuilt = np.sum(est.conj()
                          * (gains * symbols.T[:, :, None]
@@ -182,8 +202,7 @@ class TestPic:
         cfg = SystemConfig(n_users=6, spreading_gain=32, n_paths=2,
                            coherence_time=50, noise_var=0.25, seed=11)
         gains, codes, symbols, feedback, chips, _ = _frame(cfg, 11, 0.0)
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, gains, feedback,
+        det = pic_mrc_frame(chips, codes, gains, feedback,
                             true_gains=gains,
                             true_symbols=symbols)
         power = np.mean(np.abs(det.residual) ** 2)
@@ -198,14 +217,31 @@ class TestPic:
         shape = (5,) + gains.shape if per_period else gains.shape
         est = gains + 0.1 * (rng.standard_normal(shape)
                                      + 1j * rng.standard_normal(shape))
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, est, feedback,
+        det = pic_mrc_frame(chips, codes, est, feedback,
                             true_gains=gains, true_symbols=symbols)
         combined, residual = _pic_oracle(chips, codes, est,
                                          feedback, gains,
                                          symbols)
         np.testing.assert_allclose(det.combined, combined, rtol=0, atol=1e-12)
         np.testing.assert_allclose(det.residual, residual, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("code_model", ["independent", "shifted"])
+    @pytest.mark.parametrize("per_period", [False, True], ids=["shared", "per_period"])
+    def test_chip_domain_matches_matched_filter_reference(self, code_model, per_period):
+        cfg = SystemConfig(n_users=6, spreading_gain=24, n_paths=3,
+                           coherence_time=7, noise_var=0.3, code_model=code_model,
+                           seed=20)
+        gains, codes, symbols, feedback, chips, _ = _frame(cfg, 20, 0.1)
+        rng = derive_stream(20, "pic-reference", 0)
+        shape = (7,) + gains.shape if per_period else gains.shape
+        est = gains + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        det = pic_mrc_frame(chips, codes, est, feedback,
+                            true_gains=gains, true_symbols=symbols)
+        combined, residual, crosstalk = _pic_mf_reference(chips, codes, est, feedback,
+                                                          gains, symbols)
+        np.testing.assert_allclose(det.combined, combined, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(det.residual, residual, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(det.self_crosstalk, crosstalk, rtol=0, atol=1e-12)
 
 
 class TestPicStatistics:
@@ -269,8 +305,7 @@ def test_residual_mean_near_zero():
         symbols = sm.generate_symbols(cfg, rng)
         feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
         chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, gains, feedback,
+        det = pic_mrc_frame(chips, codes, gains, feedback,
                             true_gains=gains,
                             true_symbols=symbols)
         resids.append(det.residual.ravel())
@@ -306,8 +341,7 @@ def test_cross_path_residuals_uncorrelated_at_large_gain():
         symbols = sm.generate_symbols(cfg, rng)
         feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
         chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
-        mf = matched_filter_frame(chips, codes)
-        det = pic_mrc_frame(mf, codes, gains, feedback,
+        det = pic_mrc_frame(chips, codes, gains, feedback,
                             true_gains=gains,
                             true_symbols=symbols)
         prods.append((det.residual[:, :, 0]

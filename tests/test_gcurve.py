@@ -124,6 +124,7 @@ class TestEstimation:
         assert g(0.5) < 1e-3
         assert g(2.0) > 0.05
 
+    @pytest.mark.slow
     def test_turbo_waterfall_steeper_than_conv(self, conv_gcurve, turbo_codec):
         rng = derive_stream(7, "gcurve-turbo", 0)
         grid = np.concatenate([np.linspace(0.6, 1.1, 6),

@@ -169,7 +169,6 @@ class TestReceiverRuns:
         trace = run_iterative_receiver(_cfg(), conv_codec, iterations=5,
                                        trials=1, mode="lmmse_only")
         assert len(trace.feedback_error_rate) == 1
-        assert trace.predicted_error_rate is None
 
     def test_training_needed_for_cold_start(self, conv_codec):
         with pytest.raises(ConfigurationError):
@@ -183,6 +182,10 @@ class TestReceiverRuns:
     def test_unknown_mode_rejected(self, conv_codec):
         with pytest.raises(ConfigurationError):
             run_iterative_receiver(_cfg(), conv_codec, mode="oracle")
+
+    def test_zero_trials_rejected(self, conv_codec):
+        with pytest.raises(ConfigurationError, match="trials"):
+            run_iterative_receiver(_cfg(), conv_codec, trials=0)
 
     def test_overload_raises_rank_error(self, conv_codec):
         # 14 users x 5 paths exceed the 2x32 training observations
@@ -214,14 +217,17 @@ class TestTrajectoryTracking:
         # start from a small initial error rate (the map's validity regime)
         cfg = _cfg(n_users=10, coherence_time=20, n_training=4,
                    noise_var=noise_var_from_snr_db(4.0), seed=77)
-        trace = run_iterative_receiver(cfg, conv_codec, g=conv_gcurve,
-                                       iterations=5, trials=4)
+        trace = run_iterative_receiver(cfg, conv_codec, iterations=5, trials=4)
         pe = trace.feedback_error_rate
-        pred = trace.predicted_error_rate
         se = trace.per_trial_feedback.std(axis=0, ddof=1) / np.sqrt(4)
 
         coeffs = analysis.map_coefficients(cfg.noise_var, cfg.load,
                                            cfg.n_paths, cfg.coherence_time)
+        # the map seeded by the realized iteration-0 error rate; a trace
+        # that settles early stays at its fixed point
+        report = analysis.iterate_map(conv_gcurve, coeffs, start=pe[0], max_iter=5)
+        assert not report.left_domain
+        pred = np.pad(report.trace, (0, 6 - len(report.trace)), mode="edge")
         start_quality = float(np.interp(pe[0], conv_gcurve.pes, conv_gcurve.xs))
         check = analysis.check_convergence_conditions(conv_gcurve,
                                                       start_quality, coeffs)
@@ -243,8 +249,7 @@ class TestTrajectoryTracking:
         decreasing = (conv_gcurve(probe)
                       < (probe - coeffs.d0) / coeffs.d1)
         assert not decreasing
-        trace = run_iterative_receiver(cfg, conv_codec, g=conv_gcurve,
-                                       iterations=4, trials=1,
+        trace = run_iterative_receiver(cfg, conv_codec, iterations=4, trials=1,
                                        mode="perfect_init")
         pe = trace.feedback_error_rate
         assert pe[-1] > 0.5 * pe[0]
