@@ -156,6 +156,8 @@ def map_coefficients(noise_var: float, load: float, n_paths: float,
         raise ParameterError("coherence_time must be at least 1")
     if load < 0 or n_paths < 1:
         raise ParameterError("load must be nonnegative and n_paths at least 1")
+    if not (math.isfinite(noise_var) and math.isfinite(load)):
+        raise ParameterError(f"noise_var and load must be finite, got {noise_var} and {load}")
     s, b, l, m = noise_var, load, n_paths, coherence_time
     d0 = s * (1.0 + b * l / m + l * s / m)
     d1 = 4.0 * (b + (b + s * b * l ** 2 + b ** 2 * l + s * l + l * b * s
@@ -187,8 +189,8 @@ def iterate_map(g, coeffs: MapCoefficients, start: float,
     Contraction is certified when D1 * max g' < 1, in which case the
     geometric error-bound sequence is attached.
     """
-    if start < 0:
-        raise ParameterError("start must be nonnegative")
+    if not 0 <= start < math.inf:
+        raise ParameterError(f"start must be finite and nonnegative, got {start}")
     trace = [float(start)]
     sigma_max = getattr(g, "sigma_I_max", math.inf)
     left_domain = False

@@ -15,15 +15,14 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from .convolutional import ConvolutionalCode
-from .gcurve import (CodedBpskSource, GCurve, estimate_gcurve, isotonic_fit,
-                     make_gcurve)
+from .gcurve import CodedBpskSource, GCurve, estimate_gcurve, make_gcurve
 from .interleaver import make_permutation
 from .turbo import RscCode, TurboCode
 
 __all__ = [
     "CodecSpec", "ChannelCodec", "make_codec",
     "ConvolutionalCode", "TurboCode", "RscCode",
-    "GCurve", "CodedBpskSource", "estimate_gcurve", "make_gcurve", "isotonic_fit",
+    "GCurve", "CodedBpskSource", "estimate_gcurve", "make_gcurve",
     "make_permutation",
 ]
 

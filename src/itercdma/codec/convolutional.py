@@ -11,10 +11,12 @@ the trellis states; only the time axis is a Python loop.  Soft inputs are
 correlation metrics (positive values favour bit 0 / symbol +1) and any
 positive per-codeword scaling leaves the decisions unchanged.
 
-The register shifts right, so state s = hi*S/2 + lo (S states) is entered
-with input bit hi from states 2*lo and 2*lo + 1.  Laid out as (2, S), the
-metrics arriving over all 2*S branches are the old path metrics broadcast
-over hi (a butterfly), so each step is one add and one compare-select.
+One array helper, ``shift_register_trellis``, builds the tables of this
+code and of the recursive turbo constituent.  The register shifts right, so
+state s = hi*S/2 + lo (S states) is entered with input bit hi from states
+pred_state[s] = (2*lo, 2*lo + 1).  Laid out as (2, S), the metrics arriving
+over all 2*S branches are the old path metrics broadcast over hi (a
+butterfly), so each step is one add and one compare-select.
 After the forward pass the survivors become flat predecessor indices, the
 traceback is one gather per step, and the decided bits are the top bits of
 the states the path enters.  A memoryless code runs on a two-state trellis
@@ -32,26 +34,24 @@ _NEG = -1e30
 _CHUNK = 64   # trellis steps per block of branch metrics (cache-sized)
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+def shift_register_trellis(memory: int, taps, feedback_taps: int = 0):
+    """Trellis tables of a right-shifting register with 2**memory states.
 
-
-def _predecessors(next_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pred_state, pred_bit), each (S, 2): the two (state, bit) entering each state.
-
-    Every shift-register trellis here has exactly two predecessors per state.
+    The register holds the new bit above the state: the input bit, plus the
+    parity of ``feedback_taps & state`` for a recursive code.  Returns
+    next_state (S, 2) and out_bits (S, 2, len(taps)) over (state, input bit),
+    output j being the parity of ``taps[j] & register``, and pred_state,
+    pred_bit (S, 2): the two branches entering each state in (state, bit)
+    order, found by stably sorting the branches by the state they enter.
     """
-    n_states = next_state.shape[0]
-    pred_state = np.empty((n_states, 2), dtype=np.int64)
-    pred_bit = np.empty((n_states, 2), dtype=np.int64)
-    fill = np.zeros(n_states, dtype=np.int64)
-    for state in range(n_states):
-        for bit in (0, 1):
-            nxt = next_state[state, bit]
-            pred_state[nxt, fill[nxt]] = state
-            pred_bit[nxt, fill[nxt]] = bit
-            fill[nxt] += 1
-    return pred_state, pred_bit
+    state = np.arange(1 << memory)[:, None]
+    feedback = np.bitwise_count(feedback_taps & state) & 1
+    register = (np.arange(2) ^ feedback) << memory | state
+    next_state = register >> 1
+    out_bits = (np.bitwise_count(register[..., None] & np.array(taps)) & 1).astype(np.int8)
+    pred_state, pred_bit = np.divmod(
+        np.argsort(next_state, axis=None, kind="stable").reshape(-1, 2), 2)
+    return next_state, out_bits, pred_state, pred_bit
 
 
 class ConvolutionalCode:
@@ -69,16 +69,9 @@ class ConvolutionalCode:
         self._closing = 1 if self.memory == 0 else 0
         m = self.memory + self._closing
         self.n_states = n_states = 1 << m
-        self.next_state = np.empty((n_states, 2), dtype=np.int64)
-        out_bits = np.empty((n_states, 2, 2), dtype=np.int8)
-        for state in range(n_states):
-            for bit in (0, 1):
-                reg = (bit << m) | state
-                for j, gen in enumerate(self.generators):
-                    out_bits[state, bit, j] = _parity((gen << self._closing) & reg)
-                self.next_state[state, bit] = reg >> 1
-        self.out_signs = (1.0 - 2.0 * out_bits).astype(np.float64)
-        self.pred_state, self.pred_bit = _predecessors(self.next_state)
+        self.next_state, out_bits, self.pred_state, self.pred_bit = shift_register_trellis(
+            m, [gen << self._closing for gen in self.generators])
+        self.out_signs = 1.0 - 2.0 * out_bits
         # output signs of the branches arriving in each state, per output
         # stream: (2, 2S) with the arriving branches of state s at 2s, 2s+1
         self._arrive_signs = np.ascontiguousarray(
@@ -131,10 +124,11 @@ class ConvolutionalCode:
             # a tie keeps the first branch, as argmax would
             np.greater(arrive[..., 1], arrive[..., 0], out=survivors[start:stop])
 
-        # flat predecessor b*S + 2*lo + survivor of each (t, b, s), so that the
-        # traceback is one gather per step; terminated blocks end in state 0
+        # flat predecessor b*S + pred_state[s, 0] + survivor of each (t, b, s),
+        # so that the traceback is one gather per step; terminated blocks end
+        # in state 0
         base = (np.arange(batch, dtype=np.int32)[:, None] * n_states
-                + 2 * (np.arange(n_states, dtype=np.int32) % half))
+                + self.pred_state[:, 0].astype(np.int32))
         predecessors = (base + survivors).reshape(steps, batch * n_states)
         states = np.empty((steps, batch), dtype=np.int32)   # flat state entered at t
         states[-1] = base[:, 0]

@@ -76,15 +76,12 @@ class GCurve:
         return float(usable[-1]) if usable.size else 0.0
 
     def save_csv(self, path) -> None:
+        columns = [self.xs, self.pes] + ([] if self.info_ber is None else [self.info_ber])
         with open(path, "w", newline="") as fh:
             fh.write(f"# gcurve label={self.label}\n")
             writer = csv.writer(fh)
-            writer.writerow(["x", "pe"] + (["info_ber"] if self.info_ber is not None else []))
-            for i in range(len(self.xs)):
-                row = [f"{self.xs[i]:.10g}", f"{self.pes[i]:.10g}"]
-                if self.info_ber is not None:
-                    row.append(f"{self.info_ber[i]:.10g}")
-                writer.writerow(row)
+            writer.writerow(["x", "pe", "info_ber"][:len(columns)])
+            writer.writerows([f"{value:.10g}" for value in row] for row in zip(*columns))
 
     @classmethod
     def load_csv(cls, path) -> "GCurve":
@@ -125,31 +122,18 @@ class GCurve:
                    info_ber=np.array(ber) if ber else None)
 
 
-def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Pool-adjacent-violators: least-squares nondecreasing fit."""
-    values = np.asarray(values, dtype=float)
-    weights = np.ones_like(values) if weights is None else np.asarray(weights, float)
-    level = list(values)
-    weight = list(weights)
-    size = [1] * len(values)
-    i = 0
-    while i < len(level) - 1:
-        if level[i] > level[i + 1] + 1e-15:
-            total = weight[i] + weight[i + 1]
-            level[i] = (level[i] * weight[i] + level[i + 1] * weight[i + 1]) / total
-            weight[i] = total
-            size[i] += size[i + 1]
-            del level[i + 1], weight[i + 1], size[i + 1]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    out = np.empty_like(values)
-    pos = 0
-    for lvl, cnt in zip(level, size):
-        out[pos:pos + cnt] = lvl
-        pos += cnt
-    return out
+def _pool_adjacent_violators(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Least-squares nondecreasing fit: each new point pools with the blocks it undercuts."""
+    blocks = []                              # [level, weight, size] per pooled block
+    for value, weight in zip(values, weights):
+        blocks.append([value, weight, 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0] + 1e-15:
+            right, left = blocks.pop(), blocks[-1]
+            total = left[1] + right[1]
+            blocks[-1] = [(left[0] * left[1] + right[0] * right[1]) / total, total,
+                          left[2] + right[2]]
+    levels, _, sizes = zip(*blocks)
+    return np.repeat(levels, sizes)
 
 
 def make_gcurve(xs, pes, weights=None, label: str = "", info_ber=None) -> GCurve:
@@ -163,33 +147,28 @@ def make_gcurve(xs, pes, weights=None, label: str = "", info_ber=None) -> GCurve
     """
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
-    xs = xs[order]
     raw = np.asarray(pes, dtype=float)[order]
-    w = None if weights is None else np.asarray(weights, float)[order]
-    fitted = isotonic_fit(raw, w)
+    w = np.ones_like(raw) if weights is None else np.asarray(weights, float)[order]
+    fitted = _pool_adjacent_violators(raw, w)
     scale = max(fitted.max(), 1e-12)
     if np.max(np.abs(fitted - raw)) > _REPAIR_TOLERANCE * scale:
         warnings.warn("raw decoder-curve data strongly non-monotone; "
                       "isotonic repair moved a point by more than "
                       f"{_REPAIR_TOLERANCE:.0%} of the curve maximum",
                       DataQualityWarning, stacklevel=2)
-    ber = None if info_ber is None else np.asarray(info_ber, float)[order]
-
-    if xs[0] > 0:
-        xs = np.concatenate([[0.0], xs])
-        fitted = np.concatenate([[0.0], fitted])
-        ber = None if ber is None else np.concatenate([[0.0], ber])
-    else:
-        fitted[0] = 0.0
-    if len(xs) > 1 and fitted[1] > 0:
+    # rows x, pe[, info_ber]; each inserted point is zero in every row
+    table = np.array([xs[order], fitted]
+                     + ([] if info_ber is None else [np.asarray(info_ber, float)[order]]))
+    if table[0, 0] > 0:
+        table = np.insert(table, 0, 0.0, axis=1)
+    table[1, 0] = 0.0
+    if table.shape[1] > 1 and table[1, 1] > 0:
         # keep the first segment exactly flat so the slope at zero vanishes
-        xs = np.concatenate([xs[:1], [0.5 * xs[1]], xs[1:]])
-        fitted = np.concatenate([fitted[:1], [0.0], fitted[1:]])
-        ber = None if ber is None else np.concatenate([ber[:1], [0.0], ber[1:]])
+        table = np.insert(table, 1, 0.0, axis=1)
+        table[0, 1] = 0.5 * table[0, 2]
 
-    keep = np.concatenate([[True], np.diff(xs) > 0])
-    return GCurve(xs=xs[keep], pes=fitted[keep], label=label,
-                  info_ber=None if ber is None else ber[keep])
+    x, pe, *ber = table[:, np.concatenate([[True], np.diff(table[0]) > 0])]
+    return GCurve(xs=x, pes=pe, label=label, info_ber=ber[0] if ber else None)
 
 
 class CodedBpskSource:
@@ -222,23 +201,18 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
     keeps the relative error of each estimate roughly uniform.
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ParameterError("grid abscissas must be positive (x = 1/SINR)")
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise ParameterError("grid abscissas must be positive and finite (x = 1/SINR)")
     if target_errors < 1 or max_codewords < 1:
         raise ParameterError(f"target_errors and max_codewords must be at least 1, "
                              f"got {target_errors} and {max_codewords}")
-    pes, weights, bers = [], [], []
-    for x in grid:
-        sym_err = sym_tot = inf_err = inf_tot = sent = 0
-        while sym_err < target_errors and sent < max_codewords:
-            se, st, ie, it = source.measure(float(x), _BATCH, rng)
-            sent += _BATCH
-            sym_err += se
-            sym_tot += st
-            inf_err += ie
-            inf_tot += it
-        pes.append(sym_err / sym_tot)
-        weights.append(sym_tot)
-        bers.append(inf_err / inf_tot)
-    return make_gcurve(grid, pes, weights=weights, label=label, info_ber=bers)
+    # per point: symbol errors, symbols, info errors, info bits
+    counts = np.zeros((len(grid), 4), dtype=np.int64)
+    for x, row in zip(grid, counts):
+        for _ in range(0, max_codewords, _BATCH):
+            row += source.measure(float(x), _BATCH, rng)
+            if row[0] >= target_errors:
+                break
+    return make_gcurve(grid, counts[:, 0] / counts[:, 1], weights=counts[:, 1],
+                       label=label, info_ber=counts[:, 2] / counts[:, 3])
 

@@ -1,9 +1,10 @@
 """Parallel-concatenated (turbo) coding with a batched log-MAP decoder.
 
 Two identical recursive systematic constituent encoders work on the info
-block and on an internally interleaved copy.  The rate-1/3 output is
-punctured to rate 1/2 by alternating parity streams (first encoder on even
-positions, second on odd).  Constituent encoders are left unterminated so
+block and on an internally interleaved copy; their trellis tables come from
+``shift_register_trellis``, as the convolutional code's do.  The rate-1/3
+output is punctured to rate 1/2 by alternating parity streams (first
+encoder on even positions, second on odd).  Constituent encoders are left unterminated so
 a length-k info block maps to exactly 2k coded bits; the decoder accounts
 for that with a uniform final-state prior.  Component decoding is exact
 log-MAP (logaddexp recursions), vectorized over the codeword batch.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ParameterError
-from .convolutional import _CHUNK, _NEG, _parity, _predecessors
+from .convolutional import _CHUNK, _NEG, shift_register_trellis
 from .interleaver import make_permutation
 
 
@@ -36,18 +37,12 @@ class RscCode:
         self.feedforward = int(feedforward)
         self.constraint_length = self.feedback.bit_length()
         self.memory = self.constraint_length - 1
-        self.n_states = 1 << self.memory
-        m, n_states = self.memory, self.n_states
-        fb_taps = self.feedback & ((1 << m) - 1)
-        self.next_state = np.empty((n_states, 2), dtype=np.int64)
-        self.parity_bits = np.empty((n_states, 2), dtype=np.int8)
-        for state in range(n_states):
-            for bit in (0, 1):
-                d = bit ^ _parity(fb_taps & state)
-                reg = (d << m) | state
-                self.parity_bits[state, bit] = _parity(self.feedforward & reg)
-                self.next_state[state, bit] = reg >> 1
-        self.pred_state, self.pred_bit = _predecessors(self.next_state)
+        if self.memory < 0:
+            raise ParameterError("the feedback polynomial must be nonzero")
+        self.n_states = n_states = 1 << self.memory
+        self.next_state, out_bits, self.pred_state, self.pred_bit = shift_register_trellis(
+            self.memory, [self.feedforward], self.feedback & (n_states - 1))
+        self.parity_bits = out_bits[..., 0]
         ps, pb = self.pred_state, self.pred_bit
         input_signs = np.array([1.0, -1.0])
         parity_signs = 1.0 - 2.0 * self.parity_bits
@@ -148,13 +143,10 @@ class TurboCode:
         if info_bits.shape[1] != self.info_length:
             raise ParameterError(
                 f"info length {info_bits.shape[1]} != {self.info_length}")
-        p1 = self.rsc.encode_parity(info_bits)
-        p2 = self.rsc.encode_parity(info_bits[:, self.permutation])
         coded = np.empty((info_bits.shape[0], 2 * self.info_length), dtype=np.int8)
         coded[:, 0::2] = info_bits
-        parity = p1.copy()
-        parity[:, 1::2] = p2[:, 1::2]
-        coded[:, 1::2] = parity
+        coded[:, 1::4] = self.rsc.encode_parity(info_bits)[:, 0::2]
+        coded[:, 3::4] = self.rsc.encode_parity(info_bits[:, self.permutation])[:, 1::2]
         return coded
 
     def decode(self, soft: np.ndarray) -> np.ndarray:
@@ -164,11 +156,9 @@ class TurboCode:
             raise ParameterError(
                 f"soft length {soft.shape[1]} != {2 * self.info_length}")
         sys_llr = soft[:, 0::2]
-        par = soft[:, 1::2]
-        lp1 = np.zeros_like(par)
-        lp1[:, 0::2] = par[:, 0::2]
-        lp2 = np.zeros_like(par)
-        lp2[:, 1::2] = par[:, 1::2]
+        lp1, lp2 = np.zeros((2, *sys_llr.shape))    # punctured parities read as 0
+        lp1[:, 0::2] = soft[:, 1::4]
+        lp2[:, 1::2] = soft[:, 3::4]
         sys_perm = sys_llr[:, self.permutation]
 
         ext2 = np.zeros_like(sys_llr)       # deinterleaved extrinsic of decoder 2

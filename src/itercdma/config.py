@@ -50,8 +50,9 @@ class SystemConfig:
         if not 0 <= self.n_training <= self.coherence_time:
             raise ConfigurationError(
                 f"n_training must lie in [0, coherence_time], got {self.n_training}")
-        if self.noise_var < 0:
-            raise ConfigurationError("noise_var must be nonnegative")
+        if not 0 <= self.noise_var < np.inf:
+            raise ConfigurationError(f"noise_var must be finite and nonnegative, "
+                                     f"got {self.noise_var}")
         if self.code_model not in CODE_MODELS:
             raise ConfigurationError(
                 f"code_model must be one of {CODE_MODELS}, got {self.code_model!r}")

@@ -47,7 +47,7 @@ from .codec import ChannelCodec
 from .config import SystemConfig, derive_stream
 from .detector import lmmse_detect_frame, lmmse_llrs, pic_mrc_frame
 from .estimator import build_stacked_matrix, ml_estimate
-from .exceptions import ConfigurationError, RankError
+from .exceptions import ConfigurationError, ParameterError, RankError
 
 MODES = ("iterative", "lmmse_only", "perfect_init", "perfect_csi")
 
@@ -251,6 +251,8 @@ def capacity_search(config_template: SystemConfig,
     probe.  Estimation problems that become underdetermined at high load
     count as infeasible rather than errors.
     """
+    if not 0 < target_ber <= 0.5:
+        raise ParameterError(f"target_ber must lie in (0, 0.5], got {target_ber}")
     probes = []
     cache: dict[int, bool] = {}
 

@@ -32,6 +32,10 @@ from .exceptions import ParameterError
 from .estimator import build_stacked_matrix
 from . import system_model as sm
 
+# Highest moment order compared.  The recursion is cheap at any order; the
+# bound limits the empirical side, whose cost grows with the order (one
+# Gram product per two orders) and whose high orders are ruled by the few
+# largest eigenvalues.
 MAX_MOMENT_ORDER = 12
 _BOUND_CONSTANT = 1.5   # C of the reported bounds C^m m^(m-2)
 
@@ -42,21 +46,17 @@ def mp_moments(stacked_load: float, max_order: int) -> np.ndarray:
         raise ParameterError("max_order must be at least 1")
     if max_order > MAX_MOMENT_ORDER:
         raise ParameterError(
-            f"moment order {max_order} exceeds the cost guard "
-            f"({MAX_MOMENT_ORDER}); the composition count explodes beyond it")
+            f"moment order {max_order} exceeds the cost guard ({MAX_MOMENT_ORDER})")
     if stacked_load < 0:
         raise ParameterError("stacked_load must be nonnegative")
     moments = np.empty(max_order + 1)
-    moments[0] = 1.0
+    comp_sum = np.empty(max_order + 1)
+    moments[0] = comp_sum[0] = 1.0
     # comp_sum[n] = sum over compositions of n of prod E[lam^{part-1}];
     # convolution form: comp_sum[n] = sum_j moments[j-1] * comp_sum[n-j].
-    for order in range(1, max_order + 1):
-        comp_sum = np.zeros(order + 1)
-        comp_sum[0] = 1.0
-        for n in range(1, order + 1):
-            comp_sum[n] = sum(moments[j - 1] * comp_sum[n - j]
-                              for j in range(1, n + 1))
-        moments[order] = stacked_load * comp_sum[order]
+    for n in range(1, max_order + 1):
+        comp_sum[n] = sum(moments[j - 1] * comp_sum[n - j] for j in range(1, n + 1))
+        moments[n] = stacked_load * comp_sum[n]
     return moments[1:]
 
 

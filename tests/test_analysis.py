@@ -120,6 +120,12 @@ class TestMapCoefficients:
     def test_no_noise_no_floor(self):
         assert analysis.map_coefficients(0.0, 0.2, 5, 30).d0 == 0.0
 
+    @pytest.mark.parametrize("noise_var, load", [
+        (np.nan, 0.2), (np.inf, 0.2), (SNR5, np.nan), (SNR5, np.inf)])
+    def test_non_finite_noise_or_load_rejected(self, noise_var, load):
+        with pytest.raises(ParameterError, match="must be finite"):
+            analysis.map_coefficients(noise_var, load, 5, 30)
+
 
 def _linear_curve(slope, x_max=1.0, points=51):
     xs = np.linspace(0.0, x_max, points)

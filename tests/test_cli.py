@@ -170,15 +170,32 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fixedpoint: error: load must be nonnegative and n_paths at least 1"),
     (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--paths", "-3"],
      "itercdma fixedpoint: error: load must be nonnegative and n_paths at least 1"),
+    (["capacity", "--target-ber", "-1", "--coherence-times", "10", "--modes", "perfect_csi",
+      "--trials", "1", "--iterations", "1"],
+     "itercdma capacity: error: target_ber must lie in (0, 0.5], got -1.0"),
+    (["fig2", "--config", "{tmp}/nan_noise.cfg"],
+     "itercdma fig2: error: {tmp}/nan_noise.cfg: noise_var must be finite and nonnegative, "
+     "got nan"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--snr-db", "nan"],
+     "itercdma fixedpoint: error: noise_var and load must be finite, got nan and 0.5"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--noise-var", "inf"],
+     "itercdma fixedpoint: error: noise_var and load must be finite, got inf and 0.5"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--start", "nan"],
+     "itercdma fixedpoint: error: start must be finite and nonnegative, got nan"),
+    (["gcurve", "--grid", "nan:1:2"],
+     "itercdma gcurve: error: grid abscissas must be positive and finite (x = 1/SINR)"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
-        "fixedpoint_zero_paths", "fixedpoint_negative_paths"])
+        "fixedpoint_zero_paths", "fixedpoint_negative_paths", "capacity_negative_target_ber",
+        "fig2_nan_noise_var_in_config", "fixedpoint_nan_snr", "fixedpoint_infinite_noise_var",
+        "fixedpoint_nan_start", "gcurve_nan_grid_point"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
     (tmp_path / "nan_cell.csv").write_text("x,pe\n0.0,0.0\n1.0,nan\n2.0,0.3\n")
     (tmp_path / "good.csv").write_text("x,pe\n0.0,0.0\n1.0,0.1\n2.0,0.3\n")
+    (tmp_path / "nan_noise.cfg").write_text("n_users = 10\nspreading_gain = 50\nnoise_var = nan\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     src = str(Path(itercdma.__file__).resolve().parents[1])

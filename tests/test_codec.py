@@ -86,12 +86,76 @@ def _reference_viterbi(code, soft):
     return bits[:, :steps - code.memory]
 
 
+# Reference trellis tables: the per-state register loops and the generic
+# predecessor search that the array-built tables must reproduce exactly.
+
+def _bit_parity(x):
+    return bin(x).count("1") & 1
+
+
+def _reference_predecessors(next_state):
+    n_states = next_state.shape[0]
+    pred_state = np.empty((n_states, 2), dtype=np.int64)
+    pred_bit = np.empty((n_states, 2), dtype=np.int64)
+    fill = np.zeros(n_states, dtype=np.int64)
+    for state in range(n_states):
+        for bit in (0, 1):
+            nxt = next_state[state, bit]
+            pred_state[nxt, fill[nxt]] = state
+            pred_bit[nxt, fill[nxt]] = bit
+            fill[nxt] += 1
+    return dict(pred_state=pred_state, pred_bit=pred_bit)
+
+
+def _reference_conv_tables(generators):
+    memory = max(g.bit_length() for g in generators) - 1
+    closing = 1 if memory == 0 else 0
+    m = memory + closing
+    next_state = np.empty((1 << m, 2), dtype=np.int64)
+    out_bits = np.empty((1 << m, 2, 2), dtype=np.int8)
+    for state in range(1 << m):
+        for bit in (0, 1):
+            reg = (bit << m) | state
+            for j, gen in enumerate(generators):
+                out_bits[state, bit, j] = _bit_parity((gen << closing) & reg)
+            next_state[state, bit] = reg >> 1
+    return dict(next_state=next_state, out_signs=1.0 - 2.0 * out_bits,
+                **_reference_predecessors(next_state))
+
+
+def _reference_rsc_tables(feedback, feedforward):
+    m = feedback.bit_length() - 1
+    fb_taps = feedback & ((1 << m) - 1)
+    next_state = np.empty((1 << m, 2), dtype=np.int64)
+    parity_bits = np.empty((1 << m, 2), dtype=np.int8)
+    for state in range(1 << m):
+        for bit in (0, 1):
+            reg = ((bit ^ _bit_parity(fb_taps & state)) << m) | state
+            parity_bits[state, bit] = _bit_parity(feedforward & reg)
+            next_state[state, bit] = reg >> 1
+    return dict(next_state=next_state, parity_bits=parity_bits,
+                **_reference_predecessors(next_state))
+
+
 def _noisy_llrs(rng, coded, snr_db):
     """Channel LLRs of BPSK-mapped coded bits at Es/N0 = snr_db."""
     noise_var = 10 ** (-snr_db / 10)
     symbols = 1.0 - 2.0 * coded
     noisy = symbols + np.sqrt(noise_var / 2) * rng.standard_normal(symbols.shape)
     return 4.0 * noisy / noise_var
+
+
+@pytest.mark.parametrize("family, generators", [
+    ("conv", (0o35, 0o23)), ("conv", (1, 1)), ("conv", (0o7, 0o5)), ("conv", (2, 3)),
+    ("rsc", (0o37, 0o21)), ("rsc", (1, 1)), ("rsc", (0o13, 0o15))])
+def test_trellis_tables_match_register_loops(family, generators):
+    if family == "conv":
+        built, reference = ConvolutionalCode(generators), _reference_conv_tables(generators)
+    else:
+        built, reference = RscCode(*generators), _reference_rsc_tables(*generators)
+    for name, table in reference.items():
+        assert getattr(built, name).dtype == table.dtype, name
+        np.testing.assert_array_equal(getattr(built, name), table, err_msg=name)
 
 
 class TestConvolutionalCore:
@@ -135,6 +199,10 @@ class TestConvolutionalCore:
         np.testing.assert_array_equal(code.viterbi_decode(soft), expected)
         with pytest.raises(ParameterError, match="nonzero"):
             ConvolutionalCode((0, 0))
+
+    def test_zero_feedback_rejected(self):
+        with pytest.raises(ParameterError, match="nonzero"):
+            RscCode(0, 0o21)
 
     def test_noiseless_viterbi_roundtrip(self):
         rng = np.random.default_rng(1)

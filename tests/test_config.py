@@ -26,6 +26,8 @@ def test_derived_loads_recomputed():
     dict(n_users=0, spreading_gain=10),
     dict(n_users=4, spreading_gain=10, n_training=11, coherence_time=10),
     dict(n_users=4, spreading_gain=10, noise_var=-1.0),
+    dict(n_users=4, spreading_gain=10, noise_var=float("nan")),
+    dict(n_users=4, spreading_gain=10, noise_var=float("inf")),
     dict(n_users=4, spreading_gain=10, code_model="orthogonal"),
 ])
 def test_invalid_configs_rejected(kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from itercdma.codec import CodedBpskSource, estimate_gcurve
-from itercdma.codec.gcurve import GCurve, isotonic_fit, make_gcurve
+from itercdma.codec.gcurve import GCurve, make_gcurve
 from itercdma.config import derive_stream
 from itercdma.exceptions import ConfigurationError, DataQualityWarning, ParameterError
 
@@ -41,17 +41,37 @@ def test_measure_matches_complex_reference_and_stream(conv_codec, seed):
 
 
 class TestIsotonic:
+    # curves that start flat at a tabulated origin, so make_gcurve adds no point
+    XS = [0.0, 1.0, 2.0, 3.0]
+
     def test_already_monotone_unchanged(self):
-        values = np.array([0.0, 0.1, 0.2, 0.5])
-        np.testing.assert_array_equal(isotonic_fit(values), values)
+        values = np.array([0.0, 0.0, 0.2, 0.5])
+        np.testing.assert_array_equal(make_gcurve(self.XS, values).pes, values)
 
     def test_pools_violators_to_least_squares(self):
-        fitted = isotonic_fit(np.array([1.0, 3.0, 2.0]))
-        np.testing.assert_allclose(fitted, [1.0, 2.5, 2.5])
+        curve = make_gcurve(self.XS, [0.0, 0.0, 0.3, 0.2])
+        np.testing.assert_allclose(curve.pes, [0.0, 0.0, 0.25, 0.25])
 
     def test_weights_shift_pooled_level(self):
-        fitted = isotonic_fit(np.array([3.0, 1.0]), weights=np.array([3.0, 1.0]))
-        np.testing.assert_allclose(fitted, [2.5, 2.5])
+        curve = make_gcurve(self.XS, [0.0, 0.0, 0.30, 0.26], weights=[1.0, 1.0, 3.0, 1.0])
+        np.testing.assert_allclose(curve.pes, [0.0, 0.0, 0.29, 0.29])
+
+    @pytest.mark.filterwarnings("ignore::itercdma.exceptions.DataQualityWarning")
+    def test_matches_max_min_formula(self):
+        # the fit at i is the max over j <= i of the min over k >= i of the
+        # weighted mean of points j..k
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            raw = np.concatenate([[0.0, 0.0], rng.random(8)])
+            w = rng.integers(1, 100, size=10).astype(float)
+
+            def mean(j, k):
+                return np.dot(raw[j:k + 1], w[j:k + 1]) / w[j:k + 1].sum()
+
+            expected = [max(min(mean(j, k) for k in range(i, 10)) for j in range(i + 1))
+                        for i in range(10)]
+            curve = make_gcurve(np.arange(10.0), raw, weights=w)
+            np.testing.assert_allclose(curve.pes, expected, rtol=0, atol=1e-12)
 
 
 class TestGCurveShape:
