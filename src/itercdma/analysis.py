@@ -192,7 +192,7 @@ def iterate_map(g, coeffs: MapCoefficients, start: float,
     if not 0 <= start < math.inf:
         raise ParameterError(f"start must be finite and nonnegative, got {start}")
     trace = [float(start)]
-    sigma_max = getattr(g, "sigma_I_max", math.inf)
+    sigma_max = g.sigma_I_max
     left_domain = False
     converged = False
     for _ in range(max_iter):
@@ -208,16 +208,10 @@ def iterate_map(g, coeffs: MapCoefficients, start: float,
     trace = np.asarray(trace)
     fixed_point = float(trace[-1]) if converged else None
 
-    gamma = None
-    certified = False
-    bounds = None
-    max_slope = getattr(g, "max_slope", None)
-    if max_slope is not None:
-        gamma = coeffs.d1 * float(max_slope)
-        if gamma < 1.0 and converged:
-            certified = True
-            k = np.arange(len(trace))
-            bounds = gamma ** k / (1.0 - gamma) * abs(trace[0] - fixed_point)
+    gamma = coeffs.d1 * g.max_slope
+    certified = bool(converged and gamma < 1.0)
+    bounds = (gamma ** np.arange(len(trace)) / (1.0 - gamma) * abs(trace[0] - fixed_point)
+              if certified else None)
     return FixedPointReport(trace=trace, fixed_point=fixed_point,
                             converged=converged, iterations=len(trace) - 1,
                             contraction_modulus=gamma,

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--codec", default="conv", choices=("conv", "turbo"))
     p.add_argument("--modes", type=_list_of(_mode),
-                   default="iterative,lmmse_only,perfect_init,perfect_csi")
+                   default=",".join(PIPELINE_MODES))
     p.add_argument("--coherence-times", type=_list_of(int), default="10,20")
     p.add_argument("--target-ber", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=2)

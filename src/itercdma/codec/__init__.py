@@ -16,8 +16,7 @@ import numpy as np
 from ..exceptions import ParameterError
 from .convolutional import ConvolutionalCode
 from .gcurve import CodedBpskSource, GCurve, estimate_gcurve, make_gcurve
-from .interleaver import make_permutation
-from .turbo import RscCode, TurboCode
+from .turbo import RscCode, TurboCode, make_permutation
 
 __all__ = [
     "CodecSpec", "ChannelCodec", "make_codec",
@@ -26,28 +25,28 @@ __all__ = [
     "make_permutation",
 ]
 
+CODEWORD_LENGTH = 1024            # channel symbols per codeword, rate 1/2
+CHANNEL_INTERLEAVER_SEED = 7
+TURBO_INTERLEAVER_SEED = 8
+GENERATORS = {"convolutional": (0o35, 0o23),   # feedforward pair
+              "turbo": (0o37, 0o21)}           # (feedback, feedforward) RSC pair
+
 
 @dataclass(frozen=True)
 class CodecSpec:
-    """Code family and parameters of the coding chain."""
+    """Code family of the coding chain; the rest is fixed per family above."""
 
     family: str = "convolutional"            # or "turbo"
-    generators: tuple = (0o35, 0o23)          # turbo: (feedback, feedforward) RSC pair
-    codeword_length: int = 1024
-    interleaver_seed: int = 7
     turbo_iterations: int = 8
 
     def __post_init__(self):
-        if self.family not in ("convolutional", "turbo"):
+        if self.family not in GENERATORS:
             raise ParameterError(f"unknown codec family {self.family!r}")
-        if self.codeword_length % 2:
-            raise ParameterError("codeword_length must be even at rate 1/2")
         if self.turbo_iterations < 1:
             raise ParameterError("turbo_iterations must be at least 1")
 
     @classmethod
     def turbo(cls, **kw) -> "CodecSpec":
-        kw.setdefault("generators", (0o37, 0o21))
         return cls(family="turbo", **kw)
 
     def digest(self) -> str:
@@ -59,19 +58,16 @@ class ChannelCodec:
 
     def __init__(self, spec: CodecSpec):
         self.spec = spec
-        self.codeword_length = spec.codeword_length
+        self.codeword_length = CODEWORD_LENGTH
+        generators = GENERATORS[spec.family]
         if spec.family == "convolutional":
-            self._core = ConvolutionalCode(spec.generators)
-            self.info_length = spec.codeword_length // 2 - self._core.memory
-            if self.info_length < 1:
-                raise ParameterError("codeword too short for the encoder tail")
+            self._core = ConvolutionalCode(generators)
+            self.info_length = CODEWORD_LENGTH // 2 - self._core.memory
         else:
-            self.info_length = spec.codeword_length // 2
-            self._core = TurboCode(self.info_length, generators=spec.generators,
-                                   interleaver_seed=spec.interleaver_seed + 1,
-                                   n_iterations=spec.turbo_iterations)
-        self.permutation = make_permutation(spec.codeword_length,
-                                            spec.interleaver_seed)
+            self.info_length = CODEWORD_LENGTH // 2
+            self._core = TurboCode(self.info_length, generators, TURBO_INTERLEAVER_SEED,
+                                   spec.turbo_iterations)
+        self.permutation = make_permutation(CODEWORD_LENGTH, CHANNEL_INTERLEAVER_SEED)
         self.inverse = np.argsort(self.permutation)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
@@ -94,11 +90,7 @@ class ChannelCodec:
         if soft_llr.shape[1] != self.codeword_length:
             raise ParameterError(
                 f"soft input length {soft_llr.shape[1]} != {self.codeword_length}")
-        ordered = soft_llr[:, self.inverse]
-        if self.spec.family == "convolutional":
-            info = self._core.viterbi_decode(ordered)
-        else:
-            info = self._core.decode(ordered)
+        info = self._core.decode(soft_llr[:, self.inverse])
         return info, self.encode(info)
 
 

@@ -93,7 +93,7 @@ class ConvolutionalCode:
             coded[:, :, j] = acc
         return coded.reshape(batch, 2 * steps)
 
-    def viterbi_decode(self, soft: np.ndarray) -> np.ndarray:
+    def decode(self, soft: np.ndarray) -> np.ndarray:
         """Maximum-likelihood sequence decisions from soft inputs (B, 2T)."""
         soft = np.atleast_2d(np.asarray(soft, dtype=np.float64))
         batch, total = soft.shape

@@ -52,6 +52,10 @@ class GCurve:
             raise ParameterError("decoder curve values must be finite")
         if np.any(np.diff(self.xs) <= 0):
             raise ParameterError("xs must be strictly increasing")
+        for name, rates in (("pes", self.pes), ("info_ber", self.info_ber)):
+            if rates is not None and np.any((rates < 0) | (rates > 1)):
+                raise ParameterError(
+                    f"{name} must lie in [0, 1], got {rates.min():g} to {rates.max():g}")
         if np.any(np.diff(self.pes) < 0):
             raise ParameterError("pes must be nondecreasing (isotonic repair first)")
 
@@ -148,6 +152,9 @@ def make_gcurve(xs, pes, weights=None, label: str = "", info_ber=None) -> GCurve
     xs = np.asarray(xs, dtype=float)
     order = np.argsort(xs)
     raw = np.asarray(pes, dtype=float)[order]
+    if np.any((raw < 0) | (raw > 1)):
+        raise ParameterError(f"raw pes must lie in [0, 1], got {raw.min():g} "
+                             f"to {raw.max():g}")
     w = np.ones_like(raw) if weights is None else np.asarray(weights, float)[order]
     fitted = _pool_adjacent_violators(raw, w)
     scale = max(fitted.max(), 1e-12)

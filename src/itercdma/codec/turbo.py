@@ -26,7 +26,11 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from .convolutional import _CHUNK, _NEG, shift_register_trellis
-from .interleaver import make_permutation
+
+
+def make_permutation(length: int, seed: int) -> np.ndarray:
+    """Seeded uniform-random interleaver ``x[..., perm]``, undone by ``np.argsort(perm)``."""
+    return np.random.default_rng(seed).permutation(length)
 
 
 class RscCode:

@@ -172,6 +172,8 @@ def measure_pic_stats(config: SystemConfig,
     """
     if channel_knowledge not in ("leave_one_out", "perfect"):
         raise ParameterError(f"unknown channel_knowledge {channel_knowledge!r}")
+    if realizations < 1:
+        raise ParameterError(f"realizations must be at least 1, got {realizations}")
     if frames < realizations:
         raise ParameterError("need at least one frame per realization")
     per_real = frames // realizations

@@ -214,14 +214,6 @@ class EstimationStats:
     split_gap: float              # Gram-domain vs stacked split, largest relative gap
 
 
-def _complex_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and sample covariance E{(x-mu)(x-mu)^H} of row samples."""
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered.conj() / (samples.shape[0] - 1)
-    return mean, cov
-
-
 def _period_grams(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Code matrices C_t (M, KL, N) and the integers N G_t = N C_t C_t^T as int16.
 
@@ -280,17 +272,16 @@ def empirical_estimation_stats(config: SystemConfig,
     ``realizations`` fixed (channel, codes) draws.  Needs at least two
     frames per realization for the sample covariances.
     """
+    if realizations < 1:
+        raise ParameterError(f"realizations must be at least 1, got {realizations}")
     if trials < 2 * realizations:
         raise ParameterError("need at least two trials per realization")
     inner = trials // realizations
     m, kl, n = config.coherence_time, config.n_gains, config.spreading_gain
 
-    bias_ratios = []
-    d_f = []
-    d_n = []
-    d_a = []
-    cross = []
-    sigma_f0 = sigma_n0 = gains0 = None
+    bias_ratios = np.empty(realizations, dtype=complex)
+    # per realization: tr Sigma_f, tr Sigma_n and Re tr Sigma_fn, per component
+    traces = np.empty((realizations, 3))
 
     for r in range(realizations):
         rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
@@ -318,33 +309,29 @@ def empirical_estimation_stats(config: SystemConfig,
                 split_gap = max(_relative_gap(fb_parts[0], dec.feedback_part),
                                 _relative_gap(nz_parts[0], dec.noise_part))
 
-        mean_f, cov_f = _complex_cov(fb_parts)
-        mean_n, cov_n = _complex_cov(nz_parts)
+        mean_f = fb_parts.mean(axis=0)
         centered_f = fb_parts - mean_f
-        centered_n = nz_parts - mean_n
-        cov_fn = centered_f.T @ centered_n.conj() / (inner - 1)
-
-        bias_ratios.append(np.mean(mean_f / a))
-        tf = cov_f.trace().real / kl
-        tn = cov_n.trace().real / kl
-        d_f.append(tf)
-        d_n.append(tn)
-        total = fb_parts + nz_parts
-        _, cov_a = _complex_cov(total)
-        d_a.append(cov_a.trace().real / kl)
-        cross.append(abs(cov_fn.trace().real / kl) / max(np.sqrt(tf * tn), 1e-300))
+        centered_n = nz_parts - nz_parts.mean(axis=0)
+        bias_ratios[r] = np.mean(mean_f / a)
+        # the sample covariance E{(x-mu)(x-mu)^H} is needed whole only at r = 0
+        traces[r] = [np.vdot(x, y).real / ((inner - 1) * kl) for x, y in
+                     ((centered_f, centered_f), (centered_n, centered_n),
+                      (centered_f, centered_n))]
         if r == 0:
-            sigma_f0, sigma_n0, gains0 = cov_f, cov_n, a.copy()
+            sigma_f0, sigma_n0 = (x.T @ x.conj() / (inner - 1) for x in (centered_f, centered_n))
+            gains0 = a.copy()
 
+    tf, tn, tfn = traces.T
     return EstimationStats(
         mean_bias_ratio=complex(np.mean(bias_ratios)),
-        delta_f=float(np.mean(d_f)),
-        delta_n=float(np.mean(d_n)),
-        delta_a=float(np.mean(d_a)),
+        delta_f=float(np.mean(tf)),
+        delta_n=float(np.mean(tn)),
+        # the sum's covariance is Sigma_f + Sigma_n + Sigma_fn + Sigma_fn^H
+        delta_a=float(np.mean(tf + tn + 2 * tfn)),
         sigma_f=sigma_f0,
         sigma_n=sigma_n0,
         gains_flat=gains0,
-        cross_norm=float(np.mean(cross)),
+        cross_norm=float(np.mean(np.abs(tfn) / np.maximum(np.sqrt(tf * tn), 1e-300))),
         realizations=realizations,
         trials_per_realization=inner,
         split_gap=split_gap,

@@ -184,17 +184,30 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fixedpoint: error: start must be finite and nonnegative, got nan"),
     (["gcurve", "--grid", "nan:1:2"],
      "itercdma gcurve: error: grid abscissas must be positive and finite (x = 1/SINR)"),
+    (["fig2", "--coherence-times", "10", "--trials", "4", "--realizations", "0"],
+     "itercdma fig2: error: realizations must be at least 1, got 0"),
+    (["fig2", "--coherence-times", "10", "--trials", "4", "--realizations", "-1"],
+     "itercdma fig2: error: realizations must be at least 1, got -1"),
+    (["fig3", "--error-rates", "0.1", "--frames", "4", "--realizations", "0"],
+     "itercdma fig3: error: realizations must be at least 1, got 0"),
+    (["fig3", "--error-rates", "0.1", "--frames", "4", "--realizations", "-2"],
+     "itercdma fig3: error: realizations must be at least 1, got -2"),
+    (["fixedpoint", "--gcurve", "{tmp}/negative.csv", "--load", "0.5"],
+     "itercdma fixedpoint: error: pes must lie in [0, 1], got -0.2 to 0"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
         "fixedpoint_zero_paths", "fixedpoint_negative_paths", "capacity_negative_target_ber",
         "fig2_nan_noise_var_in_config", "fixedpoint_nan_snr", "fixedpoint_infinite_noise_var",
-        "fixedpoint_nan_start", "gcurve_nan_grid_point"])
+        "fixedpoint_nan_start", "gcurve_nan_grid_point", "fig2_zero_realizations",
+        "fig2_negative_realizations", "fig3_zero_realizations", "fig3_negative_realizations",
+        "fixedpoint_negative_rates"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
     (tmp_path / "nan_cell.csv").write_text("x,pe\n0.0,0.0\n1.0,nan\n2.0,0.3\n")
     (tmp_path / "good.csv").write_text("x,pe\n0.0,0.0\n1.0,0.1\n2.0,0.3\n")
+    (tmp_path / "negative.csv").write_text("x,pe\n0,-0.2\n1,-0.1\n2,0\n")
     (tmp_path / "nan_noise.cfg").write_text("n_users = 10\nspreading_gain = 50\nnoise_var = nan\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from itercdma.codec import CodecSpec
+from itercdma.codec import CodecSpec, make_permutation
 from itercdma.codec.convolutional import _NEG, ConvolutionalCode
-from itercdma.codec.interleaver import make_permutation
 from itercdma.codec.turbo import RscCode, TurboCode
 from itercdma.exceptions import ParameterError
 
@@ -193,10 +192,10 @@ class TestConvolutionalCore:
         info = rng.integers(0, 2, size=(4, 30), dtype=np.int8)
         coded = code.encode(info)
         assert coded.shape == (4, 60)
-        np.testing.assert_array_equal(code.viterbi_decode(1.0 - 2.0 * coded), info)
+        np.testing.assert_array_equal(code.decode(1.0 - 2.0 * coded), info)
         soft = np.round(rng.standard_normal((4, 60)))
         expected = (soft.reshape(4, 30, 2).sum(axis=2) < 0).astype(np.int8)
-        np.testing.assert_array_equal(code.viterbi_decode(soft), expected)
+        np.testing.assert_array_equal(code.decode(soft), expected)
         with pytest.raises(ParameterError, match="nonzero"):
             ConvolutionalCode((0, 0))
 
@@ -209,7 +208,7 @@ class TestConvolutionalCore:
         info = rng.integers(0, 2, size=(10, 100), dtype=np.int8)
         code = ConvolutionalCode()
         soft = 1.0 - 2.0 * code.encode(info)
-        np.testing.assert_array_equal(code.viterbi_decode(soft), info)
+        np.testing.assert_array_equal(code.decode(soft), info)
 
     def test_viterbi_beats_uncoded_and_is_monotone_in_snr(self):
         rng = np.random.default_rng(2)
@@ -220,7 +219,7 @@ class TestConvolutionalCore:
         for snr_db in (-3.0, -1.0, 1.0):
             sigma = np.sqrt(1.0 / (2 * 10 ** (snr_db / 10)))
             noisy = symbols + sigma * rng.standard_normal(symbols.shape)
-            decoded = code.viterbi_decode(noisy)
+            decoded = code.decode(noisy)
             bers.append(np.mean(decoded != info))
         assert bers[0] > bers[1] > bers[2]
         assert bers[2] < 1e-2
@@ -236,8 +235,8 @@ class TestConvolutionalCore:
         shift_info = rng.integers(0, 2, size=(5, 80), dtype=np.int8)
         symbols = 1.0 - 2.0 * code.encode(info)
         noisy = symbols + 0.6 * rng.standard_normal(symbols.shape)
-        base = code.viterbi_decode(noisy)
-        shifted = code.viterbi_decode(noisy * (1.0 - 2.0 * code.encode(shift_info)))
+        base = code.decode(noisy)
+        shifted = code.decode(noisy * (1.0 - 2.0 * code.encode(shift_info)))
         np.testing.assert_array_equal(shifted, base ^ shift_info)
 
     @pytest.mark.parametrize("batch", [1, 14, 25, 100])
@@ -252,7 +251,7 @@ class TestConvolutionalCore:
             info = rng.integers(0, 2, size=(batch, 120), dtype=np.int8)
             llr = _noisy_llrs(rng, code.encode(info), snr_db)
             for soft in (llr, np.round(llr), np.sign(llr)):
-                np.testing.assert_array_equal(code.viterbi_decode(soft),
+                np.testing.assert_array_equal(code.decode(soft),
                                               _reference_viterbi(code, soft))
 
 

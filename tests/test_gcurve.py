@@ -91,10 +91,21 @@ class TestGCurveShape:
         ([0.0, 1.0], [0.0, np.inf], None, "finite"),
         ([0.0, 1.0], [0.0, 0.1], [0.0, np.nan], "finite"),
         ([0.0, 1.0], [0.0, 0.1], [0.0], "shape of xs"),
-    ], ids=["one_point", "nan_x", "inf_pe", "nan_info_ber", "short_info_ber"])
+        ([0.0, 1.0, 2.0], [-0.2, -0.1, 0.0], None, r"pes must lie in \[0, 1\]"),
+        ([0.0, 1.0], [0.0, 1.5], None, r"pes must lie in \[0, 1\]"),
+        ([0.0, 1.0], [0.0, 0.1], [0.0, -0.01], r"info_ber must lie in \[0, 1\]"),
+        ([0.0, 1.0], [0.0, 0.1], [0.0, 2.0], r"info_ber must lie in \[0, 1\]"),
+    ], ids=["one_point", "nan_x", "inf_pe", "nan_info_ber", "short_info_ber", "negative_pe",
+            "pe_above_one", "negative_info_ber", "info_ber_above_one"])
     def test_degenerate_curve_rejected(self, xs, pes, info_ber, match):
         with pytest.raises(ParameterError, match=match):
             GCurve(xs=np.array(xs), pes=np.array(pes), info_ber=info_ber)
+
+    @pytest.mark.parametrize("pes", [[-0.1, 0.1, 0.2], [0.1, 0.2, 1.5]],
+                             ids=["negative", "above_one"])
+    def test_raw_rates_outside_unit_interval_named_before_repair(self, pes):
+        with pytest.raises(ParameterError, match=r"^raw pes must lie in \[0, 1\], got "):
+            make_gcurve([0.5, 1.0, 2.0], pes)
 
     def test_noisy_points_repaired_with_warning(self):
         xs = [0.5, 1.0, 1.5, 2.0]
