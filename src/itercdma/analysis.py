@@ -191,6 +191,8 @@ def iterate_map(g, coeffs: MapCoefficients, start: float,
     """
     if not 0 <= start < math.inf:
         raise ParameterError(f"start must be finite and nonnegative, got {start}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     trace = [float(start)]
     sigma_max = g.sigma_I_max
     left_domain = False

@@ -3,8 +3,8 @@
 Each subcommand reproduces one experiment family at desk scale.  Only after
 its work succeeds does it create the output directory and write CSV/JSON
 results plus a run manifest (configuration hash, master seed, package version,
-BLAS thread setting, CPU count and library versions), so a failed run writes
-nothing:
+BLAS thread setting, CPU count, turbo-decode processes and library versions),
+so a failed run writes nothing:
 
     itercdma fig2        estimation-error variance versus coherence time
     itercdma fig3        detector output statistics and error-rate sweep
@@ -30,6 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__, analysis, rmt
+from ._workers import process_count
 from .codec import CodecSpec, CodedBpskSource, estimate_gcurve, make_codec
 from .codec.gcurve import GCurve
 from .config import SystemConfig, derive_stream, noise_var_from_snr_db
@@ -56,6 +57,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
+            "decode_processes": process_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

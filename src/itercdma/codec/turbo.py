@@ -17,6 +17,12 @@ a block of time steps at a time, and the posterior LLRs are formed after
 the sweep over the same blocks.  The operands meet in the same order as in
 the textbook two-loop form, so the posteriors are the same bit for bit.
 
+Codewords decode independently, so ``TurboCode.decode`` splits its rows
+into one contiguous part per usable CPU: the calling process decodes the
+first part and forked workers the rest (``itercdma._workers``), and the
+decisions are the same bit for bit as one decode of the whole batch.  The
+encoder steps a byte of input at a time through (state, byte) tables.
+
 LLR convention throughout: positive means bit 0 / symbol +1.
 """
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._workers import split_rows
 from ..exceptions import ParameterError
 from .convolutional import _CHUNK, _NEG, shift_register_trellis
 
@@ -61,18 +68,33 @@ class RscCode:
         self._input_signs = input_signs[:, None]
         self._parity_signs = np.ascontiguousarray(parity_signs.T)
         self._next_by_bit = np.ascontiguousarray(self.next_state.T)
+        # Tables of the encoder stepped a byte of input at a time: from each
+        # state, every 8-bit input (first bit most significant) gives the
+        # state after it and its 8 parity bits, packed the same way.
+        state = np.repeat(np.arange(n_states), 256)
+        byte = np.tile(np.arange(256), n_states)
+        parity = np.zeros_like(byte)
+        for shift in range(7, -1, -1):
+            bit = (byte >> shift) & 1
+            parity = parity << 1 | self.parity_bits[state, bit]
+            state = self.next_state[state, bit]
+        self._byte_next = state.reshape(n_states, 256)
+        self._byte_parity = parity.reshape(n_states, 256).astype(np.uint8)
 
     def encode_parity(self, info_bits: np.ndarray) -> np.ndarray:
         """Parity stream (B, k) for batched info bits (B, k), state starts at 0."""
-        info_bits = np.atleast_2d(np.asarray(info_bits, dtype=np.int64))
-        batch, k = info_bits.shape
-        out = np.empty((batch, k), dtype=np.int8)
-        state = np.zeros(batch, dtype=np.int64)
-        for t in range(k):
-            bit = info_bits[:, t]
-            out[:, t] = self.parity_bits[state, bit]
-            state = self.next_state[state, bit]
-        return out
+        info_bits = np.atleast_2d(np.asarray(info_bits, dtype=np.int8))
+        k = info_bits.shape[1]
+        # Zero bits pad the last byte; they come after every real bit, so
+        # the parities kept are those of the bit-by-bit encoder.
+        packed = np.packbits(info_bits, axis=1)
+        out = np.empty_like(packed)
+        state = np.zeros(len(packed), dtype=np.int64)
+        for t in range(packed.shape[1]):
+            byte = packed[:, t]
+            out[:, t] = self._byte_parity[state, byte]
+            state = self._byte_next[state, byte]
+        return np.unpackbits(out, axis=1, count=k).view(np.int8)
 
     def bcjr(self, sys_llr: np.ndarray, par_llr: np.ndarray,
              apriori: np.ndarray) -> np.ndarray:
@@ -159,6 +181,9 @@ class TurboCode:
         if soft.shape[1] != 2 * self.info_length:
             raise ParameterError(
                 f"soft length {soft.shape[1]} != {2 * self.info_length}")
+        return split_rows(self._decode_rows, soft)
+
+    def _decode_rows(self, soft: np.ndarray) -> np.ndarray:
         sys_llr = soft[:, 0::2]
         lp1, lp2 = np.zeros((2, *sys_llr.shape))    # punctured parities read as 0
         lp1[:, 0::2] = soft[:, 1::4]

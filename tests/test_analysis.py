@@ -172,6 +172,15 @@ class TestIterateMap:
         assert report.left_domain and not report.converged
         assert report.fixed_point is None
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_fewer_than_one_step_rejected(self, max_iter):
+        # no step used to run, and the report read as a map that did not settle
+        curve = _linear_curve(0.3)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
+                                          n_paths=1, coherence_time=1)
+        with pytest.raises(ParameterError, match=f"max_iter must be at least 1, got {max_iter}"):
+            analysis.iterate_map(curve, coeffs, start=0.05, max_iter=max_iter)
+
 
 class TestConvergenceConditions:
     def test_both_conditions_at_worked_point(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import itercdma
+from itercdma import _workers
 from itercdma.cli import main
 from itercdma.codec.gcurve import GCurve, make_gcurve
 
@@ -42,7 +43,9 @@ def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert env["cpu_count"] == os.cpu_count()
     assert env["numpy"] == np.__version__
-    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "python", "numpy", "scipy"}
+    assert env["decode_processes"] == _workers.process_count() >= 1
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "decode_processes",
+                        "python", "numpy", "scipy"}
     assert "M=" in capsys.readouterr().out
 
 
@@ -194,6 +197,10 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fig3: error: realizations must be at least 1, got -2"),
     (["fixedpoint", "--gcurve", "{tmp}/negative.csv", "--load", "0.5"],
      "itercdma fixedpoint: error: pes must lie in [0, 1], got -0.2 to 0"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--max-iter", "0"],
+     "itercdma fixedpoint: error: max_iter must be at least 1, got 0"),
+    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--max-iter", "-1"],
+     "itercdma fixedpoint: error: max_iter must be at least 1, got -1"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
@@ -201,7 +208,8 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fig2_nan_noise_var_in_config", "fixedpoint_nan_snr", "fixedpoint_infinite_noise_var",
         "fixedpoint_nan_start", "gcurve_nan_grid_point", "fig2_zero_realizations",
         "fig2_negative_realizations", "fig3_zero_realizations", "fig3_negative_realizations",
-        "fixedpoint_negative_rates"])
+        "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
+        "fixedpoint_negative_max_iter"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")

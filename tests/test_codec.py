@@ -1,7 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from itercdma.codec import CodecSpec, make_permutation
+import itercdma
+from itercdma import _workers
+from itercdma.codec import CodecSpec, make_codec, make_permutation
 from itercdma.codec.convolutional import _NEG, ConvolutionalCode
 from itercdma.codec.turbo import RscCode, TurboCode
 from itercdma.exceptions import ParameterError
@@ -59,6 +67,17 @@ def _reference_turbo_decode(turbo, soft, n_iterations):
         post2 = _reference_bcjr(turbo.rsc, sys_perm, lp2, ext1[:, perm])
         ext2 = (post2 - sys_perm - ext1[:, perm])[:, inv]
     return (post2[:, inv] < 0).astype(np.int8)
+
+
+def _reference_encode_parity(rsc, info_bits):
+    batch, k = info_bits.shape
+    out = np.empty((batch, k), dtype=np.int8)
+    state = np.zeros(batch, dtype=np.int64)
+    for t in range(k):
+        bit = info_bits[:, t]
+        out[:, t] = rsc.parity_bits[state, bit]
+        state = rsc.next_state[state, bit]
+    return out
 
 
 def _reference_viterbi(code, soft):
@@ -262,6 +281,18 @@ class TestTurboCore:
         parity = rsc.encode_parity(np.eye(1, 40, dtype=np.int8))
         assert parity[0, 20:].any()
 
+    @pytest.mark.parametrize("generators", [(0o37, 0o21), (1, 1), (0o13, 0o15), (0o7, 0o5)])
+    def test_encode_parity_matches_bit_loop(self, generators):
+        # 1, 7, 9, 37 and 100 bits leave a part byte at the end
+        rng = np.random.default_rng(generators[0])
+        rsc = RscCode(*generators)
+        for k in (1, 7, 8, 9, 37, 64, 100, 512):
+            for batch in (1, 3, 14):
+                info = rng.integers(0, 2, size=(batch, k), dtype=np.int8)
+                parity = rsc.encode_parity(info)
+                assert parity.dtype == np.int8
+                np.testing.assert_array_equal(parity, _reference_encode_parity(rsc, info))
+
     def test_noiseless_turbo_roundtrip(self):
         rng = np.random.default_rng(4)
         turbo = TurboCode(info_length=128, interleaver_seed=5)
@@ -321,6 +352,131 @@ class TestTurboCore:
             TurboCode(info_length=64, n_iterations=n_iterations)
         with pytest.raises(ParameterError):
             CodecSpec.turbo(turbo_iterations=n_iterations)
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _decode_in_child(turbo, soft, results):
+    results.put((turbo.decode(soft), _workers.process_count()))
+
+
+def _use_cpus(monkeypatch, count):
+    """Make the decode split over ``count`` processes, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _serial(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        _use_cpus(m, 1)
+        return fn(*args)
+
+
+class TestDecodeProcesses:
+    """The turbo decode splits its rows over processes and keeps every bit."""
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("snr_db", [-1.0, 1.0, 3.0])
+    def test_split_matches_serial(self, monkeypatch, processes, snr_db):
+        rng = np.random.default_rng(int(10 * snr_db) + 10 + processes)
+        turbo = TurboCode(info_length=100, interleaver_seed=8, n_iterations=3)
+        codec = make_codec(CodecSpec.turbo(turbo_iterations=2))
+        _use_cpus(monkeypatch, processes)
+        assert _workers.process_count() == processes
+        for batch in (1, 2, 3, 14, 25):
+            info = rng.integers(0, 2, size=(batch, turbo.info_length), dtype=np.int8)
+            soft = _noisy_llrs(rng, turbo.encode(info), snr_db)
+            np.testing.assert_array_equal(turbo.decode(soft),
+                                          _serial(monkeypatch, turbo.decode, soft))
+            info = rng.integers(0, 2, size=(batch, codec.info_length), dtype=np.int8)
+            llr = _noisy_llrs(rng, (1 - codec.encode(info)) // 2, snr_db)
+            decisions, feedback = codec.decode(llr)
+            serial_decisions, serial_feedback = _serial(monkeypatch, codec.decode, llr)
+            np.testing.assert_array_equal(decisions, serial_decisions)
+            np.testing.assert_array_equal(feedback, serial_feedback)
+
+    def test_second_decode_reuses_the_worker(self, monkeypatch):
+        import multiprocessing
+        _use_cpus(monkeypatch, 2)
+        turbo = TurboCode(info_length=64, n_iterations=1)
+        soft = np.random.default_rng(11).standard_normal((4, 128))
+        turbo.decode(soft)
+        pool = _workers._pool
+        workers = {p.pid for p in multiprocessing.active_children()}
+        assert workers
+        turbo.decode(soft)
+        assert _workers._pool is pool
+        assert {p.pid for p in multiprocessing.active_children()} == workers
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # a child forked after a decode inherits the pool object, whose
+        # workers answer only the parent
+        _use_cpus(monkeypatch, 2)
+        turbo = TurboCode(info_length=64, n_iterations=1)
+        soft = np.random.default_rng(12).standard_normal((4, 128))
+        expected = turbo.decode(soft)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)        # a child left waiting is killed, not hung
+            os._exit(0 if np.array_equal(turbo.decode(soft), expected) else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+
+    @pytest.mark.parametrize("daemonic", [True, False])
+    def test_multiprocessing_child_decodes_alone(self, monkeypatch, daemonic):
+        # a daemonic child may not start workers, and any other would wait at
+        # exit for workers that stop only after it
+        import multiprocessing
+        _use_cpus(monkeypatch, 2)
+        turbo = TurboCode(info_length=64, n_iterations=1)
+        soft = np.random.default_rng(13).standard_normal((4, 128))
+        fork = multiprocessing.get_context("fork")
+        results = fork.SimpleQueue()
+        child = fork.Process(target=_decode_in_child, args=(turbo, soft, results),
+                             daemon=daemonic)
+        child.start()
+        child.join(60)          # the result is far smaller than a pipe buffer
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+        decided, count = results.get()
+        assert count == 1
+        np.testing.assert_array_equal(decided, turbo.decode(soft))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    @pytest.mark.parametrize("ending, status", [("", 0), ("os.kill(os.getpid(), 9)\n", -9)],
+                             ids=["exit", "sigkill"])
+    def test_no_worker_outlives_its_parent(self, ending, status):
+        # the pool starts only with a turbo decode; a normal exit stops and
+        # reaps its worker, and the worker of a killed parent exits by itself
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "import itercdma.cli\n"
+            "from itercdma.codec import CodecSpec, make_codec\n"
+            "make_codec(CodecSpec()).decode(np.ones((3, 1024)))\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "make_codec(CodecSpec.turbo(turbo_iterations=1)).decode(np.ones((3, 1024)))\n"
+            "import multiprocessing\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            + ending)
+        src = str(Path(itercdma.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # the worker shares the captured stdout, so this also waits for it to end
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == status, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert pids
+        for pid in pids:
+            assert not _running(pid)
 
 
 class TestInterleaver:
