@@ -3,7 +3,7 @@
 Each subcommand reproduces one experiment family at desk scale.  Only after
 its work succeeds does it create the output directory and write CSV/JSON
 results plus a run manifest (configuration hash, master seed, package version,
-BLAS thread setting, CPU count, turbo-decode processes and library versions),
+BLAS thread setting, CPU count, worker processes and library versions),
 so a failed run writes nothing:
 
     itercdma fig2        estimation-error variance versus coherence time
@@ -57,7 +57,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
-            "decode_processes": process_count(),
+            "processes": process_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
 
+from ._workers import split_map
 from .config import SystemConfig, derive_stream
 from .estimator import build_stacked_matrix, leave_one_out_estimates_fast
 from .exceptions import ParameterError
@@ -150,6 +152,36 @@ class DetectorStats:
     n_residual_samples: int
 
 
+def _pic_frame(config: SystemConfig, error_rate: float, channel_knowledge: str,
+               experiment_id: str, item: tuple[int, int]):
+    """Frame ``f`` of realization ``r`` of :func:`measure_pic_stats`, ``item = (r, f)``.
+
+    Returns Re(z b) and the symbols, both (M, K), the squared MRC noise and
+    residuals, the symbol error count and the realization's user powers.
+    """
+    r, f = item
+    gains = sm.generate_channel(
+        config, derive_stream(config.seed, f"{experiment_id}/realization", r))
+    rng = derive_stream(config.seed, f"{experiment_id}/frame/{r}", f)
+    codes = sm.generate_codes(config, rng)
+    symbols = sm.generate_symbols(config, rng)
+    feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
+    chips, _ = sm.synthesize_received(gains, codes, symbols, config, rng)
+    if channel_knowledge == "perfect":
+        est = gains
+    else:
+        stacked = build_stacked_matrix(codes, feedback)
+        est = leave_one_out_estimates_fast(stacked, chips).reshape(-1, *gains.shape)
+
+    det = pic_mrc_frame(chips, codes, est, feedback, true_gains=gains, true_symbols=symbols)
+    signal = np.sum(est.conj() * gains, axis=-1)               # (K,) or (M, K)
+    b = symbols.T.astype(np.float64)                          # (M, K)
+    return ((det.combined * b).real, symbols.T, np.abs(det.combined * b - signal) ** 2,
+            np.abs(det.residual) ** 2,
+            int(np.sum((det.combined.real >= 0) != (symbols.T > 0))),
+            np.sum(np.abs(gains) ** 2, axis=1))
+
+
 def measure_pic_stats(config: SystemConfig,
                       error_rate: float,
                       frames: int,
@@ -160,6 +192,11 @@ def measure_pic_stats(config: SystemConfig,
 
     Per realization the channel is held fixed (statistics are conditional
     on it); codes, symbols, feedback and noise are redrawn each frame.
+    ``frames`` are spread evenly over the realizations, so it must be a
+    multiple of ``realizations``.  The (realization, frame) pairs are split
+    over the worker processes (``itercdma._workers.split_map``), each part
+    drawing its realizations' channels again from their streams, and every
+    statistic is the same bit for bit for any process count.
     ``channel_knowledge`` picks the estimate handed to the canceller:
 
     ``leave_one_out``  per-period refit excluding that period (default);
@@ -174,46 +211,21 @@ def measure_pic_stats(config: SystemConfig,
         raise ParameterError(f"unknown channel_knowledge {channel_knowledge!r}")
     if realizations < 1:
         raise ParameterError(f"realizations must be at least 1, got {realizations}")
+    if frames % realizations:
+        raise ParameterError(
+            f"frames ({frames}) must be a multiple of realizations ({realizations})")
     if frames < realizations:
         raise ParameterError("need at least one frame per realization")
     per_real = frames // realizations
-    kk, ll, m = config.n_users, config.n_paths, config.coherence_time
+    kk, m = config.n_users, config.coherence_time
 
-    zb = np.empty((realizations, per_real * m, kk))       # Re(z b) samples
-    bsign = np.empty((realizations, per_real * m, kk), dtype=np.int8)
-    noise_sq = []
-    resid_sq = []
-    errors = 0
-    decisions = 0
-    user_power = np.empty((realizations, kk))
-
-    for r in range(realizations):
-        rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
-        gains = sm.generate_channel(config, rng_r)
-        user_power[r] = np.sum(np.abs(gains) ** 2, axis=1)
-        for f in range(per_real):
-            rng = derive_stream(config.seed, f"{experiment_id}/frame/{r}", f)
-            codes = sm.generate_codes(config, rng)
-            symbols = sm.generate_symbols(config, rng)
-            feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
-            chips, _ = sm.synthesize_received(gains, codes, symbols, config, rng)
-            if channel_knowledge == "perfect":
-                est = gains
-            else:
-                stacked = build_stacked_matrix(codes, feedback)
-                est = leave_one_out_estimates_fast(stacked, chips).reshape(m, kk, ll)
-
-            det = pic_mrc_frame(chips, codes, est, feedback,
-                                true_gains=gains, true_symbols=symbols)
-            signal = np.sum(est.conj() * gains, axis=-1)               # (K,) or (M, K)
-            b = symbols.T.astype(np.float64)                          # (M, K)
-            zb[r, f * m:(f + 1) * m] = (det.combined * b).real
-            bsign[r, f * m:(f + 1) * m] = symbols.T
-            noise_sq.append(np.abs(det.combined * b - signal) ** 2)
-            resid_sq.append(np.abs(det.residual) ** 2)
-            errors += int(np.sum((det.combined.real >= 0) != (symbols.T > 0)))
-            decisions += kk * m
-
+    zb, bsign, noise_sq, resid_sq, errors, power = zip(*split_map(
+        partial(_pic_frame, config, error_rate, channel_knowledge, experiment_id),
+        [(r, f) for r in range(realizations) for f in range(per_real)]))
+    zb = np.reshape(zb, (realizations, per_real * m, kk))              # Re(z b) samples
+    bsign = np.reshape(bsign, zb.shape)
+    user_power = np.array(power[::per_real])
+    errors, decisions = sum(errors), kk * m * frames
     resid_sq = np.concatenate(resid_sq, axis=None)
     noise_sq = np.concatenate(noise_sq, axis=None)
 

@@ -39,10 +39,12 @@ splits one trial per call as a check (`EstimationStats.split_gap`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 
+from ._workers import split_map
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError, RankError
 from .solvers import (SolveResult, _on_pairs, _real_matmul, cholesky_factor,
@@ -260,6 +262,50 @@ def _relative_gap(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(got - ref) / max(np.linalg.norm(ref), np.finfo(float).tiny))
 
 
+def _estimation_realization(config: SystemConfig, error_rate: float, inner: int, mode: str,
+                            experiment_id: str, r: int):
+    """Realization ``r`` of :func:`empirical_estimation_stats`, over its ``inner`` trials.
+
+    Returns its bias ratio, its three per-component traces and, for r = 0
+    only, (sigma_f, sigma_n, gains, split_gap); ``None`` in their place for
+    every other realization.
+    """
+    kl = config.n_gains
+    rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
+    gains = sm.generate_channel(config, rng_r)
+    periods, scaled_grams = _period_grams(sm.generate_code_signs(config, rng_r))
+    a = gains.reshape(-1)
+
+    fb_parts = np.empty((inner, kl), dtype=complex)
+    nz_parts = np.empty((inner, kl), dtype=complex)
+    for j in range(inner):
+        rng = derive_stream(config.seed, f"{experiment_id}/trial/{r}", j)
+        symbols = sm.generate_symbols(config, rng)
+        feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
+        noise = sm.generate_noise(config, rng)
+        fb_parts[j], nz_parts[j] = _gram_domain_split(periods, scaled_grams, a, symbols,
+                                                      feedback, noise, mode)
+        if r == 0 and j == 0:
+            # the stacked split of one trial checks the Gram algebra in every run
+            codes = periods.reshape(config.coherence_time, config.n_users, config.n_paths, -1)
+            dec = decompose_error(a, build_stacked_matrix(codes, symbols),
+                                  build_stacked_matrix(codes, feedback),
+                                  noise.reshape(-1), mode)
+            split_gap = max(_relative_gap(fb_parts[0], dec.feedback_part),
+                            _relative_gap(nz_parts[0], dec.noise_part))
+
+    mean_f = fb_parts.mean(axis=0)
+    centered_f = fb_parts - mean_f
+    centered_n = nz_parts - nz_parts.mean(axis=0)
+    # the sample covariance E{(x-mu)(x-mu)^H} is needed whole only at r = 0
+    traces = [np.vdot(x, y).real / ((inner - 1) * kl) for x, y in
+              ((centered_f, centered_f), (centered_n, centered_n), (centered_f, centered_n))]
+    if r != 0:
+        return np.mean(mean_f / a), traces, None
+    sigma_f, sigma_n = (x.T @ x.conj() / (inner - 1) for x in (centered_f, centered_n))
+    return np.mean(mean_f / a), traces, (sigma_f, sigma_n, a, split_gap)
+
+
 def empirical_estimation_stats(config: SystemConfig,
                                error_rate: float,
                                trials: int,
@@ -268,60 +314,28 @@ def empirical_estimation_stats(config: SystemConfig,
                                experiment_id: str = "estimation-stats") -> EstimationStats:
     """Measure bias and covariance of the two error parts by Monte Carlo.
 
-    ``trials`` is the total number of frames; they are spread over
-    ``realizations`` fixed (channel, codes) draws.  Needs at least two
-    frames per realization for the sample covariances.
+    ``trials`` is the total number of frames; they are spread evenly over
+    ``realizations`` fixed (channel, codes) draws, so it must be a multiple
+    of ``realizations``, with at least two frames per realization for the
+    sample covariances.  The realizations are split over the worker
+    processes (``itercdma._workers.split_map``); realization 0, whose stacked
+    split checks the Gram algebra, is always computed in the calling process,
+    and every statistic is the same bit for bit for any process count.
     """
     if realizations < 1:
         raise ParameterError(f"realizations must be at least 1, got {realizations}")
+    if trials % realizations:
+        raise ParameterError(
+            f"trials ({trials}) must be a multiple of realizations ({realizations})")
     if trials < 2 * realizations:
         raise ParameterError("need at least two trials per realization")
     inner = trials // realizations
-    m, kl, n = config.coherence_time, config.n_gains, config.spreading_gain
+    bias_ratios, traces, firsts = zip(*split_map(
+        partial(_estimation_realization, config, error_rate, inner, mode, experiment_id),
+        range(realizations)))
+    sigma_f0, sigma_n0, gains0, split_gap = firsts[0]
 
-    bias_ratios = np.empty(realizations, dtype=complex)
-    # per realization: tr Sigma_f, tr Sigma_n and Re tr Sigma_fn, per component
-    traces = np.empty((realizations, 3))
-
-    for r in range(realizations):
-        rng_r = derive_stream(config.seed, f"{experiment_id}/realization", r)
-        gains = sm.generate_channel(config, rng_r)
-        periods, scaled_grams = _period_grams(sm.generate_code_signs(config, rng_r))
-        # rebound every realization, so that no view keeps an earlier
-        # realization's periods alive (4 MB more peak RSS at stage_checks scale)
-        codes = periods.reshape(m, config.n_users, config.n_paths, n)
-        a = gains.reshape(-1)
-
-        fb_parts = np.empty((inner, kl), dtype=complex)
-        nz_parts = np.empty((inner, kl), dtype=complex)
-        for j in range(inner):
-            rng = derive_stream(config.seed, f"{experiment_id}/trial/{r}", j)
-            symbols = sm.generate_symbols(config, rng)
-            feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
-            noise = sm.generate_noise(config, rng)
-            fb_parts[j], nz_parts[j] = _gram_domain_split(periods, scaled_grams, a, symbols,
-                                                          feedback, noise, mode)
-            if r == 0 and j == 0:
-                # the stacked split of one trial checks the Gram algebra in every run
-                dec = decompose_error(a, build_stacked_matrix(codes, symbols),
-                                      build_stacked_matrix(codes, feedback),
-                                      noise.reshape(-1), mode)
-                split_gap = max(_relative_gap(fb_parts[0], dec.feedback_part),
-                                _relative_gap(nz_parts[0], dec.noise_part))
-
-        mean_f = fb_parts.mean(axis=0)
-        centered_f = fb_parts - mean_f
-        centered_n = nz_parts - nz_parts.mean(axis=0)
-        bias_ratios[r] = np.mean(mean_f / a)
-        # the sample covariance E{(x-mu)(x-mu)^H} is needed whole only at r = 0
-        traces[r] = [np.vdot(x, y).real / ((inner - 1) * kl) for x, y in
-                     ((centered_f, centered_f), (centered_n, centered_n),
-                      (centered_f, centered_n))]
-        if r == 0:
-            sigma_f0, sigma_n0 = (x.T @ x.conj() / (inner - 1) for x in (centered_f, centered_n))
-            gains0 = a.copy()
-
-    tf, tn, tfn = traces.T
+    tf, tn, tfn = np.array(traces).T
     return EstimationStats(
         mean_bias_ratio=complex(np.mean(bias_ratios)),
         delta_f=float(np.mean(tf)),

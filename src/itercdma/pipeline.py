@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import analysis
+from ._workers import split_map
 from . import system_model as sm
 from .codec import ChannelCodec
 from .config import SystemConfig, derive_stream
@@ -132,6 +134,75 @@ def _draw_blocks(config, data, trial_tag):
     return channels, symbols, chips, signs
 
 
+def _run_trial(config: SystemConfig, codec: ChannelCodec, n_iter: int, mode: str,
+               experiment_id: str, t: int) -> np.ndarray:
+    """Trial ``t`` of :func:`run_iterative_receiver`: its (4, n_iter + 1) statistics.
+
+    The rows are the feedback error rate, the info BER, the estimation MSE
+    and the residual interference power, per stage; NaN where a stage has
+    none, and the last run stage repeated after an early exit.
+    """
+    n_blocks, copies = codeword_packing(config, codec.codeword_length)
+    kk, ll, m = config.n_users, config.n_paths, config.coherence_time
+    m_t = config.n_training
+    data_per_block = m - m_t
+
+    stats = np.full((4, n_iter + 1), np.nan)
+    pe, ber, dmse, sigi = stats           # per stage
+
+    trial_tag = f"{experiment_id}/{mode}/trial{t}"
+    rng = derive_stream(config.seed, trial_tag, 0)
+    info = rng.integers(0, 2, size=(kk * copies, codec.info_length), dtype=np.int8)
+    data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
+    channels, symbols, chips, signs = _draw_blocks(config, data, trial_tag)
+    believed = symbols.copy()             # data columns take each decode's feedback
+    ests = np.empty((n_blocks, kk, ll), dtype=complex)
+    soft = np.empty((n_blocks, data_per_block, kk), dtype=complex)
+    bias = np.empty((n_blocks, data_per_block, kk))
+
+    for d in range(n_iter + 1):
+        genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
+        p = m_t if d == 0 else m           # the pilots at initialization, then all periods
+        mse_acc = res_acc = 0.0
+        for b in range(n_blocks):
+            codes = sm.codes_from_signs(signs[b])
+            data_codes = codes[m_t:]
+            if genie:
+                ests[b] = channels[b]
+            else:
+                stacked = build_stacked_matrix(codes[:p], believed[b, :, :p])
+                ests[b] = ml_estimate(stacked, chips[b, :p].reshape(-1)).gains_matrix(ll)
+                mse_acc += np.mean(np.abs(ests[b] - channels[b]) ** 2)
+            if d == 0:
+                soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,
+                                                      ests[b], config.noise_var)
+            else:
+                det = pic_mrc_frame(chips[b, m_t:], data_codes, ests[b],
+                                    believed[b, :, m_t:], true_gains=channels[b],
+                                    true_symbols=symbols[b, :, m_t:])
+                soft[b] = det.combined
+                res_acc += float(np.sum(np.abs(det.residual) ** 2))
+        if d == 0:
+            llrs = lmmse_llrs(soft, bias)
+        else:
+            llrs = _pic_llrs(soft, ests, pe[d - 1], config, genie_csi=genie)
+        info_hat, feedback = codec.decode(
+            llrs.transpose(2, 0, 1).reshape(kk * copies, codec.codeword_length))
+        feedback = feedback.reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
+        pe[d] = np.mean(feedback != data)
+        ber[d] = np.mean(info_hat != info)
+        if not genie:
+            dmse[d] = mse_acc / n_blocks
+        if d > 0:
+            sigi[d] = res_acc / (n_blocks * data_per_block * kk * ll)
+        if d > 0 and np.array_equal(feedback, believed[..., m_t:]):
+            # decisions reached a fixed point of the actual system
+            stats[:, d + 1:] = stats[:, d, None]
+            break
+        believed[..., m_t:] = feedback
+    return stats
+
+
 def run_iterative_receiver(config: SystemConfig,
                            codec: ChannelCodec,
                            iterations: int = 6,
@@ -139,6 +210,11 @@ def run_iterative_receiver(config: SystemConfig,
                            mode: str = "iterative",
                            experiment_id: str = "pipeline") -> IterationTrace:
     """Simulate the iterating receiver and record its trajectory.
+
+    The trials are split over the worker processes
+    (``itercdma._workers.split_map``); one trial runs in the calling process,
+    where a turbo decode splits its codewords instead.  The trace is the same
+    bit for bit for any process count.
 
     Raises :class:`RankError` if the channel estimation problem of any
     stage is underdetermined at this load (callers probing capacity treat
@@ -153,66 +229,9 @@ def run_iterative_receiver(config: SystemConfig,
     if mode in ("iterative", "lmmse_only") and config.n_training < 1:
         raise ConfigurationError(f"mode {mode!r} needs at least one training period")
     n_iter = 0 if mode == "lmmse_only" else iterations
-    n_blocks, copies = codeword_packing(config, codec.codeword_length)
-    kk, ll, m = config.n_users, config.n_paths, config.coherence_time
-    m_t = config.n_training
-    data_per_block = m - m_t
-
-    stats = np.full((4, trials, n_iter + 1), np.nan)
+    stats = np.stack(split_map(partial(_run_trial, config, codec, n_iter, mode, experiment_id),
+                               range(trials)), axis=1)
     pe, ber, dmse, sigi = stats           # per trial and stage
-
-    for t in range(trials):
-        trial_tag = f"{experiment_id}/{mode}/trial{t}"
-        rng = derive_stream(config.seed, trial_tag, 0)
-        info = rng.integers(0, 2, size=(kk * copies, codec.info_length),
-                            dtype=np.int8)
-        data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
-        channels, symbols, chips, signs = _draw_blocks(config, data, trial_tag)
-        believed = symbols.copy()         # data columns take each decode's feedback
-        ests = np.empty((n_blocks, kk, ll), dtype=complex)
-        soft = np.empty((n_blocks, data_per_block, kk), dtype=complex)
-        bias = np.empty((n_blocks, data_per_block, kk))
-
-        for d in range(n_iter + 1):
-            genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
-            p = m_t if d == 0 else m       # the pilots at initialization, then all periods
-            mse_acc = res_acc = 0.0
-            for b in range(n_blocks):
-                codes = sm.codes_from_signs(signs[b])
-                data_codes = codes[m_t:]
-                if genie:
-                    ests[b] = channels[b]
-                else:
-                    stacked = build_stacked_matrix(codes[:p], believed[b, :, :p])
-                    ests[b] = ml_estimate(stacked, chips[b, :p].reshape(-1)).gains_matrix(ll)
-                    mse_acc += np.mean(np.abs(ests[b] - channels[b]) ** 2)
-                if d == 0:
-                    soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,
-                                                          ests[b], config.noise_var)
-                else:
-                    det = pic_mrc_frame(chips[b, m_t:], data_codes, ests[b],
-                                        believed[b, :, m_t:], true_gains=channels[b],
-                                        true_symbols=symbols[b, :, m_t:])
-                    soft[b] = det.combined
-                    res_acc += float(np.sum(np.abs(det.residual) ** 2))
-            if d == 0:
-                llrs = lmmse_llrs(soft, bias)
-            else:
-                llrs = _pic_llrs(soft, ests, pe[t, d - 1], config, genie_csi=genie)
-            info_hat, feedback = codec.decode(
-                llrs.transpose(2, 0, 1).reshape(kk * copies, codec.codeword_length))
-            feedback = feedback.reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
-            pe[t, d] = np.mean(feedback != data)
-            ber[t, d] = np.mean(info_hat != info)
-            if not genie:
-                dmse[t, d] = mse_acc / n_blocks
-            if d > 0:
-                sigi[t, d] = res_acc / (n_blocks * data_per_block * kk * ll)
-            if d > 0 and np.array_equal(feedback, believed[..., m_t:]):
-                # decisions reached a fixed point of the actual system
-                stats[:, t, d + 1:] = stats[:, t, d, None]
-                break
-            believed[..., m_t:] = feedback
 
     return IterationTrace(
         mode=mode, config=config,

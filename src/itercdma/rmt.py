@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
+from ._workers import split_map
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError
 from .estimator import build_stacked_matrix
@@ -121,6 +123,14 @@ def _trial_moments(config: SystemConfig, max_order: int,
     return np.array(traces) / (m * n)
 
 
+def _model_trial_moments(config: SystemConfig, max_order: int, experiment_id: str,
+                         item: tuple[str, int]) -> np.ndarray:
+    """Trial ``t`` of code model ``model``, ``item = (model, t)``."""
+    model, t = item
+    rng = derive_stream(config.seed, f"{experiment_id}/{model}", t)
+    return _trial_moments(replace(config, code_model=model), max_order, rng)
+
+
 def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
                             experiment_id: str = "rmt-moments") -> MomentReport:
     """Monte Carlo spectral moments under both code models, plus analytics.
@@ -128,21 +138,19 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
     S S^T and the K*L Gram G = S^T S share their nonzero spectrum, so the
     m-th moment is tr(G^m) over the full eigenvalue count N*M; the trace
     comes from ceil(max_order/2) - 1 products of G, with no
-    eigendecomposition.
+    eigendecomposition.  The (model, trial) pairs are split over the worker
+    processes (``itercdma._workers.split_map``), and every moment and
+    standard error is the same bit for bit for any process count.
     """
     if trials < 2:
         raise ParameterError("need at least two trials for standard errors")
     analytic = mp_moments(config.stacked_load, max_order)   # checks max_order first
     if config.coherence_time * config.spreading_gain >= 2 ** 24:
         raise ParameterError("M*N reaches 2^24, past the exact float32 integer Gram")
-    samples = {}
-    for model in ("independent", "shifted"):
-        cfg = replace(config, code_model=model)
-        rows = np.empty((trials, max_order))
-        for t in range(trials):
-            rng = derive_stream(config.seed, f"{experiment_id}/{model}", t)
-            rows[t] = _trial_moments(cfg, max_order, rng)
-        samples[model] = rows
+    models = ("independent", "shifted")
+    rows = split_map(partial(_model_trial_moments, config, max_order, experiment_id),
+                     [(model, t) for model in models for t in range(trials)])
+    samples = dict(zip(models, np.reshape(rows, (len(models), trials, max_order))))
 
     return MomentReport(
         stacked_load=config.stacked_load,

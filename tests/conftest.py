@@ -1,6 +1,7 @@
 import itercdma  # noqa: F401  (first, so its BLAS thread policy precedes numpy)
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ def assert_same_fields(first, second):
     for field in dataclasses.fields(first):
         a, b = getattr(first, field.name), getattr(second, field.name)
         assert np.array_equal(a, b), field.name
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """``use_cpus(count)`` makes every split run over ``count`` processes, whatever this host has."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return use
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """``serial(fn, *args)`` is ``fn(*args)`` computed in the calling process alone."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return fn(*args, **kwargs)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -154,7 +154,7 @@ def test_criterion_06_output_normality():
             cfg_s = SystemConfig(n_users=30, spreading_gain=30, n_paths=5,
                                  coherence_time=50,
                                  noise_var=noise_var_from_snr_db(snr), seed=6)
-            st = measure_pic_stats(cfg_s, pe, frames=34, realizations=4,
+            st = measure_pic_stats(cfg_s, pe, frames=32, realizations=4,
                                    experiment_id="acc6ser")
             gaps.append(abs(st.ser_sim - st.ser_gauss) / st.ser_gauss)
     ser_ok = max(gaps) < 0.25

@@ -43,8 +43,8 @@ def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert env["cpu_count"] == os.cpu_count()
     assert env["numpy"] == np.__version__
-    assert env["decode_processes"] == _workers.process_count() >= 1
-    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "decode_processes",
+    assert env["processes"] == _workers.process_count() >= 1
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "processes",
                         "python", "numpy", "scipy"}
     assert "M=" in capsys.readouterr().out
 
@@ -195,6 +195,10 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fig3: error: realizations must be at least 1, got 0"),
     (["fig3", "--error-rates", "0.1", "--frames", "4", "--realizations", "-2"],
      "itercdma fig3: error: realizations must be at least 1, got -2"),
+    (["fig2", "--coherence-times", "10", "--trials", "201"],
+     "itercdma fig2: error: trials (201) must be a multiple of realizations (40)"),
+    (["fig3", "--error-rates", "0.1", "--frames", "71"],
+     "itercdma fig3: error: frames (71) must be a multiple of realizations (5)"),
     (["fixedpoint", "--gcurve", "{tmp}/negative.csv", "--load", "0.5"],
      "itercdma fixedpoint: error: pes must lie in [0, 1], got -0.2 to 0"),
     (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--max-iter", "0"],
@@ -208,6 +212,7 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fig2_nan_noise_var_in_config", "fixedpoint_nan_snr", "fixedpoint_infinite_noise_var",
         "fixedpoint_nan_start", "gcurve_nan_grid_point", "fig2_zero_realizations",
         "fig2_negative_realizations", "fig3_zero_realizations", "fig3_negative_realizations",
+        "fig2_trials_not_a_multiple", "fig3_frames_not_a_multiple",
         "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
         "fixedpoint_negative_max_iter"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):

@@ -367,43 +367,32 @@ def _decode_in_child(turbo, soft, results):
     results.put((turbo.decode(soft), _workers.process_count()))
 
 
-def _use_cpus(monkeypatch, count):
-    """Make the decode split over ``count`` processes, whatever this host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _serial(monkeypatch, fn, *args):
-    with monkeypatch.context() as m:
-        _use_cpus(m, 1)
-        return fn(*args)
-
-
 class TestDecodeProcesses:
     """The turbo decode splits its rows over processes and keeps every bit."""
 
     @pytest.mark.parametrize("processes", [2, 3])
     @pytest.mark.parametrize("snr_db", [-1.0, 1.0, 3.0])
-    def test_split_matches_serial(self, monkeypatch, processes, snr_db):
+    def test_split_matches_serial(self, use_cpus, serial, processes, snr_db):
         rng = np.random.default_rng(int(10 * snr_db) + 10 + processes)
         turbo = TurboCode(info_length=100, interleaver_seed=8, n_iterations=3)
         codec = make_codec(CodecSpec.turbo(turbo_iterations=2))
-        _use_cpus(monkeypatch, processes)
+        use_cpus(processes)
         assert _workers.process_count() == processes
         for batch in (1, 2, 3, 14, 25):
             info = rng.integers(0, 2, size=(batch, turbo.info_length), dtype=np.int8)
             soft = _noisy_llrs(rng, turbo.encode(info), snr_db)
             np.testing.assert_array_equal(turbo.decode(soft),
-                                          _serial(monkeypatch, turbo.decode, soft))
+                                          serial(turbo.decode, soft))
             info = rng.integers(0, 2, size=(batch, codec.info_length), dtype=np.int8)
             llr = _noisy_llrs(rng, (1 - codec.encode(info)) // 2, snr_db)
             decisions, feedback = codec.decode(llr)
-            serial_decisions, serial_feedback = _serial(monkeypatch, codec.decode, llr)
+            serial_decisions, serial_feedback = serial(codec.decode, llr)
             np.testing.assert_array_equal(decisions, serial_decisions)
             np.testing.assert_array_equal(feedback, serial_feedback)
 
-    def test_second_decode_reuses_the_worker(self, monkeypatch):
+    def test_second_decode_reuses_the_worker(self, use_cpus):
         import multiprocessing
-        _use_cpus(monkeypatch, 2)
+        use_cpus(2)
         turbo = TurboCode(info_length=64, n_iterations=1)
         soft = np.random.default_rng(11).standard_normal((4, 128))
         turbo.decode(soft)
@@ -414,10 +403,10 @@ class TestDecodeProcesses:
         assert _workers._pool is pool
         assert {p.pid for p in multiprocessing.active_children()} == workers
 
-    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+    def test_forked_child_starts_its_own_pool(self, use_cpus):
         # a child forked after a decode inherits the pool object, whose
         # workers answer only the parent
-        _use_cpus(monkeypatch, 2)
+        use_cpus(2)
         turbo = TurboCode(info_length=64, n_iterations=1)
         soft = np.random.default_rng(12).standard_normal((4, 128))
         expected = turbo.decode(soft)
@@ -428,11 +417,11 @@ class TestDecodeProcesses:
         assert os.waitpid(pid, 0)[1] == 0
 
     @pytest.mark.parametrize("daemonic", [True, False])
-    def test_multiprocessing_child_decodes_alone(self, monkeypatch, daemonic):
+    def test_multiprocessing_child_decodes_alone(self, use_cpus, daemonic):
         # a daemonic child may not start workers, and any other would wait at
         # exit for workers that stop only after it
         import multiprocessing
-        _use_cpus(monkeypatch, 2)
+        use_cpus(2)
         turbo = TurboCode(info_length=64, n_iterations=1)
         soft = np.random.default_rng(13).standard_normal((4, 128))
         fork = multiprocessing.get_context("fork")

@@ -8,6 +8,7 @@ from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
 from itercdma.detector import (lmmse_detect_frame, lmmse_llrs,
                                matched_filter_frame, measure_pic_stats,
                                pic_mrc_frame, qfunc)
+from itercdma.exceptions import ParameterError
 
 SNR10 = noise_var_from_snr_db(10.0)
 
@@ -292,6 +293,15 @@ def test_same_inputs_give_identical_pic_stats():
     other = run("repro-other")
     assert other.interference_power != first.interference_power
     assert other.output_variance != first.output_variance
+
+
+def test_frames_not_a_multiple_of_realizations_rejected():
+    # 5 frames over 3 realizations used to run 3 x 1 and drop the other 2
+    cfg = SystemConfig(n_users=2, spreading_gain=8, n_paths=1, coherence_time=4,
+                       noise_var=0.1, seed=1)
+    with pytest.raises(ParameterError,
+                       match=r"frames \(5\) must be a multiple of realizations \(3\)"):
+        measure_pic_stats(cfg, 0.1, frames=5, realizations=3)
 
 
 def test_residual_mean_near_zero():

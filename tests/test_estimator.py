@@ -343,6 +343,14 @@ class TestGramDomainSplit:
         with pytest.raises(RankError):
             empirical_estimation_stats(cfg, 0.1, trials=4, realizations=2)
 
+    def test_trials_not_a_multiple_of_realizations_rejected(self):
+        # 7 trials over 3 realizations used to run 3 x 2 and drop the seventh
+        cfg = SystemConfig(n_users=2, spreading_gain=8, n_paths=1, coherence_time=4,
+                           noise_var=0.1, seed=1)
+        with pytest.raises(ParameterError,
+                           match=r"trials \(7\) must be a multiple of realizations \(3\)"):
+            empirical_estimation_stats(cfg, 0.1, trials=7, realizations=3)
+
 
 class TestEstimationStats:
     @pytest.fixture(scope="class")

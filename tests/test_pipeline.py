@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -83,14 +85,21 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", [*MODES, "shifted"])
-def test_golden_trace(conv_codec, case):
+def test_golden_trace(conv_codec, case, use_cpus, serial):
     shifted = case == "shifted"
     cfg = _cfg(n_users=8, noise_var=noise_var_from_snr_db(1.5),
                code_model="shifted" if shifted else "independent")
     codec = _RecordingCodec(conv_codec)
-    trace = run_iterative_receiver(cfg, codec, iterations=4, trials=2,
-                                   mode="iterative" if shifted else case,
-                                   experiment_id="golden")
+    run = partial(run_iterative_receiver, cfg, iterations=4, trials=2,
+                  mode="iterative" if shifted else case, experiment_id="golden")
+    # the recording codec sees the decodes of the process it is in, so the
+    # counted run is serial; the trials split over two processes match it
+    trace = serial(run, codec)
+    use_cpus(2)
+    split = run(conv_codec)
+    for name in ("feedback_error_rate", "info_bit_error_rate", "est_error_power",
+                 "residual_interference_power", "per_trial_feedback"):
+        np.testing.assert_array_equal(getattr(split, name), getattr(trace, name))
     golden = GOLDEN[case]
     assert codec.trials == golden["counts"]
     np.testing.assert_allclose(trace.est_error_power,
@@ -109,9 +118,10 @@ def test_golden_trace(conv_codec, case):
                                filled[..., 1].mean(axis=0), rtol=1e-12)
 
 
-def test_each_block_drawn_once_per_trial(conv_codec, monkeypatch):
+def test_each_block_drawn_once_per_trial(conv_codec, monkeypatch, serial):
     # one stream for the trial's info bits and one per block, however many
-    # stages the loop runs
+    # stages the loop runs; counted in one process, since workers do not see
+    # the counting stream
     calls = []
 
     def counting(*args):
@@ -120,7 +130,7 @@ def test_each_block_drawn_once_per_trial(conv_codec, monkeypatch):
 
     monkeypatch.setattr(pipeline, "derive_stream", counting)
     cfg = _cfg()
-    run_iterative_receiver(cfg, conv_codec, iterations=3, trials=2)
+    serial(run_iterative_receiver, cfg, conv_codec, iterations=3, trials=2)
     n_blocks = codeword_packing(cfg, conv_codec.codeword_length)[0]
     assert len(calls) == 2 * (n_blocks + 1)
 
