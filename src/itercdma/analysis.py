@@ -34,6 +34,7 @@ from .exceptions import ParameterError
 
 _GRID_POINTS = 10_000     # uniform grid on which fixed points are counted
 _EFFICIENCY_STEP = 1e-6   # noise step of the finite-difference slope of D0
+LOAD_GRID = tuple(np.arange(0.05, 2.025, 0.05).tolist())  # capacity-search loads 0.05..2.0
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +126,14 @@ class PicOutputModel:
         return self.gain ** 2 / self.variance
 
 
+def check_error_rate(error_rate: float) -> None:
+    if not 0.0 <= error_rate <= 0.5:
+        raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
+
+
 def pic_output_model(error_rate: float, est_error_variance: float,
                      n_paths: float, interference_var: float) -> PicOutputModel:
-    if error_rate > 0.5 or error_rate < 0:
-        raise ParameterError("error_rate must lie in [0, 0.5]")
+    check_error_rate(error_rate)
     gain = 1.0 - 2.0 * error_rate
     variance = (gain ** 2 + n_paths * est_error_variance) * interference_var
     return PicOutputModel(gain=gain, variance=variance)
@@ -144,10 +149,6 @@ class MapCoefficients:
 
     d0: float
     d1: float
-    noise_var: float
-    load: float
-    n_paths: float
-    coherence_time: float
 
 
 def map_coefficients(noise_var: float, load: float, n_paths: float,
@@ -162,8 +163,7 @@ def map_coefficients(noise_var: float, load: float, n_paths: float,
     d0 = s * (1.0 + b * l / m + l * s / m)
     d1 = 4.0 * (b + (b + s * b * l ** 2 + b ** 2 * l + s * l + l * b * s
                      + l * s ** 2) / m)
-    return MapCoefficients(d0=d0, d1=d1, noise_var=s, load=b, n_paths=l,
-                           coherence_time=m)
+    return MapCoefficients(d0=d0, d1=d1)
 
 
 @dataclass
@@ -346,24 +346,22 @@ def asymptotic_efficiency_from_map(n_paths: float, load: float,
     return 1.0 / ((up - down) / (2.0 * _EFFICIENCY_STEP))
 
 
-def bisect_max_load(feasible, lo: float = 0.05, hi: float = 2.0,
-                    resolution: float = 0.05) -> float:
-    """Largest feasible load on a uniform grid, assuming monotone feasibility.
+def bisect_max_load(feasible) -> float:
+    """Largest feasible load of :data:`LOAD_GRID`, assuming monotone feasibility.
 
     ``feasible`` maps a load to a boolean; callers that want a record of
     the probes keep it inside ``feasible``.  Returns 0.0 (with no further
     probing) when even the lowest grid point fails.
     """
-    grid = np.arange(lo, hi + resolution / 2, resolution)
-    if not feasible(float(grid[0])):
+    if not feasible(LOAD_GRID[0]):
         return 0.0
-    lo_i, hi_i = 0, len(grid) - 1
-    if feasible(float(grid[hi_i])):
-        return float(grid[hi_i])
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if feasible(float(grid[mid])):
-            lo_i = mid
+    lo, hi = 0, len(LOAD_GRID) - 1
+    if feasible(LOAD_GRID[hi]):
+        return LOAD_GRID[hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(LOAD_GRID[mid]):
+            lo = mid
         else:
-            hi_i = mid
-    return float(grid[lo_i])
+            hi = mid
+    return LOAD_GRID[lo]

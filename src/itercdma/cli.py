@@ -37,7 +37,7 @@ from .config import SystemConfig, derive_stream, noise_var_from_snr_db
 from .detector import measure_pic_stats
 from .estimator import empirical_estimation_stats
 from .exceptions import ItercdmaError
-from .pipeline import capacity_search
+from .pipeline import capacity_search, check_receiver_arguments
 from .pipeline import MODES as PIPELINE_MODES
 
 
@@ -120,6 +120,8 @@ def cmd_fig3(args) -> int:
                        code_model="independent", seed=30)
     configs = [dataclasses.replace(cfg, noise_var=noise_var_from_snr_db(snr_db))
                for snr_db in args.snrs_db]
+    for pe in args.error_rates:
+        analysis.check_error_rate(pe)
     table = [["Pe", "snr_db", "sigmaI_emp", "sigmaI_pred",
               "gain_emp", "gain_pred", "ser_sim", "ser_gauss"]]
     for snr_db, cfg_s in zip(args.snrs_db, configs):
@@ -172,13 +174,16 @@ def cmd_capacity(args) -> int:
                                    n_training=max(1, round(cfg.training_fraction * m)))
                for m in args.coherence_times]
     codec = make_codec(_codec_spec(args.codec))
+    runs = [(m, cfg_m, mode) for m, cfg_m in zip(args.coherence_times, configs)
+            for mode in args.modes]
+    for _, cfg_m, mode in runs:
+        check_receiver_arguments(cfg_m, codec, args.iterations, args.trials, mode)
     table = [["M", "mode", "beta_max"]]
-    for m, cfg_m in zip(args.coherence_times, configs):
-        for mode in args.modes:
-            result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
-                                     trials=args.trials, iterations=args.iterations)
-            table.append([m, mode, result.max_load])
-            print(f"M={m:3d}  {mode:13s}  beta_max = {result.max_load:.2f}")
+    for m, cfg_m, mode in runs:
+        result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
+                                 trials=args.trials, iterations=args.iterations)
+        table.append([m, mode, result.max_load])
+        print(f"M={m:3d}  {mode:13s}  beta_max = {result.max_load:.2f}")
     _write_outputs(args, "capacity", {"capacity.csv": table}, cfg, codec=args.codec,
                    modes=args.modes, target_ber=args.target_ber)
     return 0

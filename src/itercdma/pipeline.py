@@ -37,7 +37,7 @@ from (config.seed, experiment_id).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -163,7 +163,8 @@ def _run_trial(config: SystemConfig, codec: ChannelCodec, n_iter: int, mode: str
     for d in range(n_iter + 1):
         genie = mode == "perfect_csi" or (d == 0 and mode == "perfect_init")
         p = m_t if d == 0 else m           # the pilots at initialization, then all periods
-        mse_acc = res_acc = 0.0
+        mse_acc = np.nan if genie else 0.0
+        res_acc = np.nan if d == 0 else 0.0
         for b in range(n_blocks):
             codes = sm.codes_from_signs(signs[b])
             data_codes = codes[m_t:]
@@ -182,25 +183,35 @@ def _run_trial(config: SystemConfig, codec: ChannelCodec, n_iter: int, mode: str
                                     true_symbols=symbols[b, :, m_t:])
                 soft[b] = det.combined
                 res_acc += float(np.sum(np.abs(det.residual) ** 2))
-        if d == 0:
-            llrs = lmmse_llrs(soft, bias)
-        else:
-            llrs = _pic_llrs(soft, ests, pe[d - 1], config, genie_csi=genie)
+        llrs = (lmmse_llrs(soft, bias) if d == 0
+                else _pic_llrs(soft, ests, pe[d - 1], config, genie_csi=genie))
         info_hat, feedback = codec.decode(
             llrs.transpose(2, 0, 1).reshape(kk * copies, codec.codeword_length))
         feedback = feedback.reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
         pe[d] = np.mean(feedback != data)
         ber[d] = np.mean(info_hat != info)
-        if not genie:
-            dmse[d] = mse_acc / n_blocks
-        if d > 0:
-            sigi[d] = res_acc / (n_blocks * data_per_block * kk * ll)
+        dmse[d] = mse_acc / n_blocks
+        sigi[d] = res_acc / (n_blocks * data_per_block * kk * ll)
         if d > 0 and np.array_equal(feedback, believed[..., m_t:]):
             # decisions reached a fixed point of the actual system
             stats[:, d + 1:] = stats[:, d, None]
             break
         believed[..., m_t:] = feedback
     return stats
+
+
+def check_receiver_arguments(config: SystemConfig, codec: ChannelCodec, iterations: int,
+                             trials: int, mode: str) -> None:
+    """Raise what :func:`run_iterative_receiver` rejects in these arguments, before any work."""
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}")
+    if iterations < 1 and mode != "lmmse_only":
+        raise ConfigurationError("iterations must be at least 1")
+    if trials < 1:
+        raise ConfigurationError("trials must be at least 1")
+    if mode in ("iterative", "lmmse_only") and config.n_training < 1:
+        raise ConfigurationError(f"mode {mode!r} needs at least one training period")
+    codeword_packing(config, codec.codeword_length)
 
 
 def run_iterative_receiver(config: SystemConfig,
@@ -220,14 +231,7 @@ def run_iterative_receiver(config: SystemConfig,
     stage is underdetermined at this load (callers probing capacity treat
     that as an infeasible operating point).
     """
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}")
-    if iterations < 1 and mode != "lmmse_only":
-        raise ConfigurationError("iterations must be at least 1")
-    if trials < 1:
-        raise ConfigurationError("trials must be at least 1")
-    if mode in ("iterative", "lmmse_only") and config.n_training < 1:
-        raise ConfigurationError(f"mode {mode!r} needs at least one training period")
+    check_receiver_arguments(config, codec, iterations, trials, mode)
     n_iter = 0 if mode == "lmmse_only" else iterations
     stats = np.stack(split_map(partial(_run_trial, config, codec, n_iter, mode, experiment_id),
                                range(trials)), axis=1)
@@ -247,28 +251,23 @@ def run_iterative_receiver(config: SystemConfig,
 class CapacityResult:
     """Outcome of the max-load search for one receiver mode."""
 
-    mode: str
     max_load: float
-    target_ber: float
-    probes: list = field(default_factory=list)   # (load, ber or None, feasible)
+    probes: list                  # (load, ber or None, feasible), in probe order
 
 
 def capacity_search(config_template: SystemConfig,
                     codec: ChannelCodec,
                     mode: str,
                     target_ber: float = 1e-3,
-                    load_min: float = 0.05,
-                    load_max: float = 2.0,
-                    resolution: float = 0.05,
                     iterations: int = 6,
                     trials: int = 2,
                     experiment_id: str = "capacity") -> CapacityResult:
     """Largest load at which the mode still reaches the target info BER.
 
-    Bisection over the load grid (feasibility is empirically monotone in
-    the load); loads mapping to the same integer user count share one
-    probe.  Estimation problems that become underdetermined at high load
-    count as infeasible rather than errors.
+    Bisection over ``analysis.LOAD_GRID`` (feasibility is empirically
+    monotone in the load); loads mapping to the same integer user count
+    share one probe.  Estimation problems that become underdetermined at
+    high load count as infeasible rather than errors.
     """
     if not 0 < target_ber <= 0.5:
         raise ParameterError(f"target_ber must lie in (0, 0.5], got {target_ber}")
@@ -281,17 +280,13 @@ def capacity_search(config_template: SystemConfig,
             return cache[n_users]
         cfg = replace(config_template, n_users=n_users)
         try:
-            trace = run_iterative_receiver(
+            ber = run_iterative_receiver(
                 cfg, codec, iterations=iterations, trials=trials,
-                mode=mode, experiment_id=f"{experiment_id}/{mode}")
-            ok = trace.final_info_ber <= target_ber
-            probes.append((load, trace.final_info_ber, ok))
+                mode=mode, experiment_id=f"{experiment_id}/{mode}").final_info_ber
         except RankError:
-            ok = False
-            probes.append((load, None, False))
-        cache[n_users] = ok
+            ber = None
+        ok = cache[n_users] = ber is not None and ber <= target_ber
+        probes.append((load, ber, ok))
         return ok
 
-    max_load = analysis.bisect_max_load(feasible, load_min, load_max, resolution)
-    return CapacityResult(mode=mode, max_load=max_load, target_ber=target_ber,
-                          probes=probes)
+    return CapacityResult(max_load=analysis.bisect_max_load(feasible), probes=probes)

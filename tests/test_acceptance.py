@@ -170,8 +170,7 @@ def test_criterion_07_fixed_point_machinery():
     """Synthetic curves: recovery, certified error bounds, multiple roots."""
     xs = np.linspace(0.0, 1.0, 51)
     linear = GCurve(xs=xs, pes=0.3 * xs)
-    coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0.0,
-                                      load=0.0, n_paths=1, coherence_time=1)
+    coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
     report = analysis.iterate_map(linear, coeffs, start=0.05, tol=1e-14,
                                   max_iter=500)
     recovery_ok = abs(report.fixed_point - 0.003 / 0.7) < 1e-8

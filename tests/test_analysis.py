@@ -101,6 +101,12 @@ class TestDetectorModel:
                                                abs=1e-6)
         assert model.sinr == pytest.approx(0.64 / model.variance)
 
+    @pytest.mark.parametrize("error_rate", [-0.1, 0.6, np.nan])
+    def test_pic_output_error_rate_outside_range_rejected(self, error_rate):
+        with pytest.raises(ParameterError,
+                           match=rf"error_rate must lie in \[0, 0.5\], got {error_rate}"):
+            analysis.pic_output_model(error_rate, 0.0, 5, 0.7)
+
 
 class TestMapCoefficients:
     def test_values_at_worked_point(self):
@@ -135,8 +141,7 @@ def _linear_curve(slope, x_max=1.0, points=51):
 class TestIterateMap:
     def test_flat_curve_reaches_zero_immediately(self):
         curve = GCurve(xs=np.array([0.0, 1.0]), pes=np.array([0.0, 0.0]))
-        coeffs = analysis.MapCoefficients(d0=0.3, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.3, d1=1.0)
         report = analysis.iterate_map(curve, coeffs, start=0.2)
         assert report.converged
         assert report.fixed_point == 0.0
@@ -145,8 +150,7 @@ class TestIterateMap:
     def test_linear_curve_closed_form_fixed_point(self):
         # pe <- 0.3*(0.01 + pe) settles at 0.003/0.7
         curve = _linear_curve(0.3)
-        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
         report = analysis.iterate_map(curve, coeffs, start=0.05, tol=1e-14)
         assert report.converged and report.banach_certified
         assert report.fixed_point == pytest.approx(0.003 / 0.7, abs=1e-10)
@@ -158,16 +162,14 @@ class TestIterateMap:
 
     def test_banach_bound_holds_at_every_iterate(self):
         curve = _linear_curve(0.3)
-        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
         report = analysis.iterate_map(curve, coeffs, start=0.05, tol=1e-14)
         errs = np.abs(report.trace - report.fixed_point)
         assert np.all(errs <= report.error_bounds + 1e-15)
 
     def test_leaving_domain_reports_divergence(self):
         curve = _linear_curve(0.3, x_max=0.5)
-        coeffs = analysis.MapCoefficients(d0=0.4, d1=2.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.4, d1=2.0)
         report = analysis.iterate_map(curve, coeffs, start=0.2)
         assert report.left_domain and not report.converged
         assert report.fixed_point is None
@@ -176,8 +178,7 @@ class TestIterateMap:
     def test_fewer_than_one_step_rejected(self, max_iter):
         # no step used to run, and the report read as a map that did not settle
         curve = _linear_curve(0.3)
-        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
         with pytest.raises(ParameterError, match=f"max_iter must be at least 1, got {max_iter}"):
             analysis.iterate_map(curve, coeffs, start=0.05, max_iter=max_iter)
 
@@ -185,23 +186,20 @@ class TestIterateMap:
 class TestConvergenceConditions:
     def test_both_conditions_at_worked_point(self):
         curve = _linear_curve(0.3)
-        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
         check = analysis.check_convergence_conditions(curve, 0.1, coeffs)
         assert check.within_domain and check.decreasing
         assert check.decrease_margin == pytest.approx(0.09 - 0.03)
 
     def test_initial_point_outside_domain(self):
         curve = _linear_curve(0.3, x_max=0.5)
-        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
         assert not analysis.check_convergence_conditions(curve, 0.7,
                                                          coeffs).within_domain
 
     def test_floor_above_initial_power_blocks_decrease(self):
         curve = _linear_curve(0.3)
-        coeffs = analysis.MapCoefficients(d0=0.5, d1=1.0, noise_var=0, load=0,
-                                          n_paths=1, coherence_time=1)
+        coeffs = analysis.MapCoefficients(d0=0.5, d1=1.0)
         assert not analysis.check_convergence_conditions(curve, 0.1,
                                                          coeffs).decreasing
 
@@ -278,7 +276,7 @@ class TestBisection:
             calls.append(load)
             return load <= 0.62
 
-        best = analysis.bisect_max_load(feasible, 0.05, 2.0, 0.05)
+        best = analysis.bisect_max_load(feasible)
         assert best == pytest.approx(0.60)
         assert len(calls) < 12
 
@@ -289,10 +287,10 @@ class TestBisection:
             calls.append(load)
             return False
 
-        best = analysis.bisect_max_load(feasible, 0.05, 2.0, 0.05)
+        best = analysis.bisect_max_load(feasible)
         assert best == 0.0
         assert len(calls) == 1
 
     def test_feasible_everywhere_returns_top(self):
-        best = analysis.bisect_max_load(lambda b: True, 0.05, 2.0, 0.05)
+        best = analysis.bisect_max_load(lambda b: True)
         assert best == pytest.approx(2.0)

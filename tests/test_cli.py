@@ -205,6 +205,16 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fixedpoint: error: max_iter must be at least 1, got 0"),
     (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--max-iter", "-1"],
      "itercdma fixedpoint: error: max_iter must be at least 1, got -1"),
+    (["fig3", "--error-rates", "0.1,0.7", "--frames", "5", "--realizations", "5"],
+     "itercdma fig3: error: error_rate must lie in [0, 0.5], got 0.7"),
+    (["fig3", "--error-rates", "0.1,nan", "--frames", "5", "--realizations", "5"],
+     "itercdma fig3: error: error_rate must lie in [0, 0.5], got nan"),
+    (["capacity", "--modes", "lmmse_only,iterative", "--iterations", "0",
+      "--coherence-times", "10", "--trials", "1"],
+     "itercdma capacity: error: iterations must be at least 1"),
+    (["capacity", "--coherence-times", "10,1", "--modes", "perfect_csi", "--trials", "1",
+      "--iterations", "1"],
+     "itercdma capacity: error: every block is pure training; nothing to decode"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
@@ -214,7 +224,9 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fig2_negative_realizations", "fig3_zero_realizations", "fig3_negative_realizations",
         "fig2_trials_not_a_multiple", "fig3_frames_not_a_multiple",
         "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
-        "fixedpoint_negative_max_iter"])
+        "fixedpoint_negative_max_iter", "fig3_second_error_rate_past_half",
+        "fig3_second_error_rate_nan", "capacity_zero_iterations_after_lmmse_only",
+        "capacity_second_block_pure_training"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
@@ -232,7 +244,28 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith(message.format(tmp=tmp_path))
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["fig2", "--coherence-times", "10,20", "--trials", "40", "--realizations", "8",
+      "--seed", "5"], "estimation_variance.csv"),
+    (["capacity", "--modes", "lmmse_only", "--target-ber", "0.5", "--coherence-times", "10",
+      "--trials", "2", "--iterations", "1"], "capacity.csv"),
+], ids=["fig2", "capacity"])
+def test_same_files_over_one_or_two_processes(tmp_path, argv, csv_name, serial, use_cpus):
+    # a (config, seed) pair gives one result whatever the worker count
+    assert serial(main, argv + ["--out", str(tmp_path / "one")]) == 0
+    use_cpus(2)
+    assert main(argv + ["--out", str(tmp_path / "two")]) == 0
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert (one / csv_name).read_bytes() == (two / csv_name).read_bytes()
+    manifests = [_manifest(one), _manifest(two)]
+    assert [m["environment"].pop("processes") for m in manifests] == [1, 2]
+    for m in manifests:
+        del m["timestamp"]
+    assert manifests[0] == manifests[1]
 
 
 def test_failure_mid_work_leaves_no_output(tmp_path, capsys):

@@ -151,6 +151,69 @@ class TestPacking:
             codeword_packing(_cfg(coherence_time=2, n_training=2), 1024)
 
 
+class TestPicLlrs:
+    """``_pic_llrs`` scales MRC outputs by the scalar output model of the stage."""
+
+    def _inputs(self, blocks=3, gain_scale=1.0):
+        cfg = _cfg()
+        rng = np.random.default_rng(0)
+        shape = (blocks, cfg.coherence_time - cfg.n_training, cfg.n_users)
+        combined = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gains = gain_scale * (rng.standard_normal((blocks, cfg.n_users, cfg.n_paths))
+                              + 1j * rng.standard_normal((blocks, cfg.n_users, cfg.n_paths)))
+        return cfg, combined, gains
+
+    def test_sign_follows_real_part(self):
+        cfg, combined, gains = self._inputs()
+        for pe in (0.0, 0.1, 0.3):
+            for genie in (False, True):
+                llrs = pipeline._pic_llrs(combined, gains, pe, cfg, genie_csi=genie)
+                np.testing.assert_array_equal(np.sign(llrs), np.sign(combined.real))
+
+    def test_genie_stage_uses_no_estimation_error(self):
+        cfg, combined, gains = self._inputs()
+        pe = 0.1
+        sigma_i = analysis.residual_interference_variance(
+            0.0, cfg.load, cfg.n_paths, pe, cfg.noise_var)
+        expected = 4.0 * combined.real / ((1.0 - 2.0 * pe) * sigma_i)
+        genie = pipeline._pic_llrs(combined, gains, pe, cfg, genie_csi=True)
+        np.testing.assert_allclose(genie, expected, rtol=1e-12)
+        estimated = pipeline._pic_llrs(combined, gains, pe, cfg)
+        assert not np.allclose(estimated, genie)
+
+    def test_gain_floored_at_a_tenth_of_the_power(self):
+        # estimated power far below L * delta_a: the floor 0.1 * power sets the gain
+        cfg, combined, gains = self._inputs(gain_scale=1e-3)
+        pe = 0.2
+        delta_a = analysis.feedback_estimate_variance(
+            pe, cfg.load, cfg.n_paths, cfg.coherence_time, cfg.noise_var,
+            cfg.training_fraction)
+        power = np.sum(np.abs(gains) ** 2, axis=-1)
+        assert np.all(power - cfg.n_paths * delta_a < 0.1 * power)
+        sigma_i = analysis.residual_interference_variance(
+            delta_a, cfg.load, cfg.n_paths, pe, cfg.noise_var)
+        expected = 0.4 * combined.real / ((1.0 - 2.0 * pe) * sigma_i)
+        np.testing.assert_allclose(pipeline._pic_llrs(combined, gains, pe, cfg),
+                                   expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("prev_pe, clipped", [(-0.3, 0.0), (0.5, 0.49), (0.7, 0.49)])
+    def test_error_rate_clipped(self, prev_pe, clipped):
+        cfg, combined, gains = self._inputs()
+        for genie in (False, True):
+            np.testing.assert_array_equal(
+                pipeline._pic_llrs(combined, gains, prev_pe, cfg, genie_csi=genie),
+                pipeline._pic_llrs(combined, gains, clipped, cfg, genie_csi=genie))
+
+    def test_batch_equals_per_block_calls(self):
+        cfg, combined, gains = self._inputs(blocks=5)
+        for genie in (False, True):
+            batch = pipeline._pic_llrs(combined, gains, 0.08, cfg, genie_csi=genie)
+            per_block = np.stack([pipeline._pic_llrs(combined[b], gains[b], 0.08, cfg,
+                                                     genie_csi=genie)
+                                  for b in range(len(combined))])
+            np.testing.assert_array_equal(batch, per_block)
+
+
 class TestReceiverRuns:
     def test_trace_reproducible_from_seed(self, conv_codec):
         cfg = _cfg()
@@ -278,9 +341,9 @@ class TestCapacitySearch:
         assert all(len(p) == 3 for p in res_iter.probes)
 
     def test_rank_limited_probes_counted_infeasible(self, conv_codec):
-        template = _cfg(n_users=1)
+        # at the grid's lowest load (K=2) the pilots give 32 equations for 40 unknowns
+        template = _cfg(n_users=1, n_paths=20, coherence_time=5, n_training=1)
         res = capacity_search(template, conv_codec, "iterative",
-                              trials=1, iterations=2,
-                              load_min=1.8, load_max=2.0, resolution=0.1)
+                              trials=1, iterations=2)
         assert res.max_load == 0.0
-        assert all(not ok for _, _, ok in res.probes)
+        assert res.probes == [(analysis.LOAD_GRID[0], None, False)]
