@@ -34,7 +34,8 @@ from .exceptions import ParameterError
 
 _GRID_POINTS = 10_000     # uniform grid on which fixed points are counted
 _EFFICIENCY_STEP = 1e-6   # noise step of the finite-difference slope of D0
-LOAD_GRID = tuple(np.arange(0.05, 2.025, 0.05).tolist())  # capacity-search loads 0.05..2.0
+_SETTLE_TOL = 1e-12       # iterate_map stops once a step moves Pe by less
+LOAD_GRID = tuple(i / 20 for i in range(1, 41))  # capacity-search loads 0.05, 0.10, ..., 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ class FixedPointReport:
 
 
 def iterate_map(g, coeffs: MapCoefficients, start: float,
-                max_iter: int = 200, tol: float = 1e-12) -> FixedPointReport:
+                max_iter: int = 200) -> FixedPointReport:
     """Iterate the error-rate map from ``start`` until it settles.
 
     The map argument D0 + D1*Pe must stay inside the curve's domain
@@ -204,7 +205,7 @@ def iterate_map(g, coeffs: MapCoefficients, start: float,
             break
         nxt = float(g(x))
         trace.append(nxt)
-        if abs(trace[-1] - trace[-2]) < tol:
+        if abs(trace[-1] - trace[-2]) < _SETTLE_TOL:
             converged = True
             break
     trace = np.asarray(trace)

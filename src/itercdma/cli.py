@@ -96,6 +96,10 @@ def cmd_fig2(args) -> int:
                        coherence_time=10, noise_var=noise_var_from_snr_db(5.0),
                        code_model="shifted", seed=20)
     configs = [dataclasses.replace(cfg, coherence_time=m) for m in args.coherence_times]
+    for cfg_m in configs:
+        # the noise-part prediction noise_var/M needs M > L*K/N
+        analysis.training_estimate_variance(cfg_m.noise_var, cfg_m.coherence_time,
+                                            cfg_m.n_paths, cfg_m.load)
     table = [["M", "Pe", "Delta_f_emp", "Delta_f_pred",
               "Delta_n_emp", "Delta_n_pred", "bias_emp", "bias_pred"]]
     for m, cfg_m in zip(args.coherence_times, configs):
@@ -174,16 +178,16 @@ def cmd_capacity(args) -> int:
                                    n_training=max(1, round(cfg.training_fraction * m)))
                for m in args.coherence_times]
     codec = make_codec(_codec_spec(args.codec))
-    runs = [(m, cfg_m, mode) for m, cfg_m in zip(args.coherence_times, configs)
-            for mode in args.modes]
-    for _, cfg_m, mode in runs:
-        check_receiver_arguments(cfg_m, codec, args.iterations, args.trials, mode)
+    for cfg_m in configs:
+        for mode in args.modes:
+            check_receiver_arguments(cfg_m, codec, args.iterations, args.trials, mode)
     table = [["M", "mode", "beta_max"]]
-    for m, cfg_m, mode in runs:
-        result = capacity_search(cfg_m, codec, mode, target_ber=args.target_ber,
-                                 trials=args.trials, iterations=args.iterations)
-        table.append([m, mode, result.max_load])
-        print(f"M={m:3d}  {mode:13s}  beta_max = {result.max_load:.2f}")
+    for m, cfg_m in zip(args.coherence_times, configs):
+        results = capacity_search(cfg_m, codec, args.modes, target_ber=args.target_ber,
+                                  trials=args.trials, iterations=args.iterations)
+        for mode in args.modes:
+            table.append([m, mode, results[mode].max_load])
+            print(f"M={m:3d}  {mode:13s}  beta_max = {results[mode].max_load:.2f}")
     _write_outputs(args, "capacity", {"capacity.csv": table}, cfg, codec=args.codec,
                    modes=args.modes, target_ber=args.target_ber)
     return 0

@@ -27,16 +27,23 @@ Modes
 ``perfect_init``   genie channel for iteration 0 only
 ``perfect_csi``    genie channel everywhere (no estimation at all)
 
+A trial's draws (info bits, channels, codes, symbols, noise) depend only on
+(config.seed, experiment_id, trial), not on the mode, so the modes are
+compared on the same draws: ``lmmse_only`` is ``iterative``'s stage 0 bit
+for bit, and ``perfect_init``'s stage 0 is ``perfect_csi``'s.  The capacity
+search uses this to read the ``lmmse_only`` receiver off the iterative
+runs it has already made.
+
 The trace records, per iteration, the realized feedback symbol error rate,
 info-bit error rate, truth-assisted estimation MSE and residual
 interference power.  The scalar map that predicts this trajectory lives in
-:mod:`itercdma.analysis` (``iterate_map``).  Everything is reproducible
-from (config.seed, experiment_id).
+:mod:`itercdma.analysis` (``iterate_map``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -150,7 +157,8 @@ def _run_trial(config: SystemConfig, codec: ChannelCodec, n_iter: int, mode: str
     stats = np.full((4, n_iter + 1), np.nan)
     pe, ber, dmse, sigi = stats           # per stage
 
-    trial_tag = f"{experiment_id}/{mode}/trial{t}"
+    # every mode draws under the tag the iterative mode has always used
+    trial_tag = f"{experiment_id}/iterative/trial{t}"
     rng = derive_stream(config.seed, trial_tag, 0)
     info = rng.integers(0, 2, size=(kk * copies, codec.info_length), dtype=np.int8)
     data = codec.encode(info).reshape(kk, n_blocks, data_per_block).transpose(1, 0, 2)
@@ -257,36 +265,56 @@ class CapacityResult:
 
 def capacity_search(config_template: SystemConfig,
                     codec: ChannelCodec,
-                    mode: str,
+                    modes: Sequence[str],
                     target_ber: float = 1e-3,
                     iterations: int = 6,
                     trials: int = 2,
-                    experiment_id: str = "capacity") -> CapacityResult:
-    """Largest load at which the mode still reaches the target info BER.
+                    experiment_id: str = "capacity") -> dict[str, CapacityResult]:
+    """Largest load at which each mode still reaches the target info BER.
 
-    Bisection over ``analysis.LOAD_GRID`` (feasibility is empirically
-    monotone in the load); loads mapping to the same integer user count
-    share one probe.  Estimation problems that become underdetermined at
-    high load count as infeasible rather than errors.
+    Returns one result per mode, keyed by mode.  Each mode bisects over
+    ``analysis.LOAD_GRID`` (feasibility is empirically monotone in the
+    load); loads mapping to the same integer user count share one probe.
+    Estimation problems that become underdetermined at high load count as
+    infeasible rather than errors.
+
+    All modes run on the draws of one experiment id.  At a user count where
+    the iterative search completed a run, an ``lmmse_only`` probe reads that
+    run's stage-0 info BER and does not run again; a run that raised
+    :class:`RankError` may have failed after stage 0, so it is not read.
     """
     if not 0 < target_ber <= 0.5:
         raise ParameterError(f"target_ber must lie in (0, 0.5], got {target_ber}")
-    probes = []
-    cache: dict[int, bool] = {}
+    for mode in modes:
+        check_receiver_arguments(config_template, codec, iterations, trials, mode)
+    stage0_ber: dict[int, float] = {}     # by user count, from completed iterative runs
 
-    def feasible(load: float) -> bool:
-        n_users = max(1, round(load * config_template.spreading_gain))
-        if n_users in cache:
-            return cache[n_users]
-        cfg = replace(config_template, n_users=n_users)
+    def probe(mode: str, n_users: int) -> float | None:
+        if mode == "lmmse_only" and n_users in stage0_ber:
+            return stage0_ber[n_users]
         try:
-            ber = run_iterative_receiver(
-                cfg, codec, iterations=iterations, trials=trials,
-                mode=mode, experiment_id=f"{experiment_id}/{mode}").final_info_ber
+            trace = run_iterative_receiver(
+                replace(config_template, n_users=n_users), codec, iterations=iterations,
+                trials=trials, mode=mode, experiment_id=f"{experiment_id}/iterative")
         except RankError:
-            ber = None
-        ok = cache[n_users] = ber is not None and ber <= target_ber
-        probes.append((load, ber, ok))
-        return ok
+            return None
+        if mode == "iterative":
+            stage0_ber[n_users] = float(trace.info_bit_error_rate[0])
+        return trace.final_info_ber
 
-    return CapacityResult(max_load=analysis.bisect_max_load(feasible), probes=probes)
+    def search(mode: str) -> CapacityResult:
+        probes = []
+        cache: dict[int, bool] = {}
+
+        def feasible(load: float) -> bool:
+            n_users = max(1, round(load * config_template.spreading_gain))
+            if n_users not in cache:
+                ber = probe(mode, n_users)
+                cache[n_users] = ber is not None and ber <= target_ber
+                probes.append((load, ber, cache[n_users]))
+            return cache[n_users]
+
+        return CapacityResult(max_load=analysis.bisect_max_load(feasible), probes=probes)
+
+    # the iterative search first, so that lmmse_only can read its runs
+    return {mode: search(mode) for mode in sorted(set(modes), key=MODES.index)}

@@ -16,7 +16,7 @@ from itercdma.codec.gcurve import GCurve
 from itercdma.config import SystemConfig, derive_stream, noise_var_from_snr_db
 from itercdma.detector import measure_pic_stats
 from itercdma.estimator import build_stacked_matrix, empirical_estimation_stats
-from itercdma.pipeline import capacity_search
+from itercdma.pipeline import MODES, capacity_search
 from itercdma.solvers import solve_normal_equations
 
 SNR5 = noise_var_from_snr_db(5.0)
@@ -171,8 +171,7 @@ def test_criterion_07_fixed_point_machinery():
     xs = np.linspace(0.0, 1.0, 51)
     linear = GCurve(xs=xs, pes=0.3 * xs)
     coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
-    report = analysis.iterate_map(linear, coeffs, start=0.05, tol=1e-14,
-                                  max_iter=500)
+    report = analysis.iterate_map(linear, coeffs, start=0.05, max_iter=500)
     recovery_ok = abs(report.fixed_point - 0.003 / 0.7) < 1e-8
     errs = np.abs(report.trace - report.fixed_point)
     bound_ok = report.banach_certified and np.all(
@@ -251,12 +250,9 @@ def test_criterion_10_capacity_ordering(conv_codec):
         template = SystemConfig(n_users=1, spreading_gain=32, n_paths=5,
                                 coherence_time=m, n_training=m // 5,
                                 noise_var=SNR5, seed=10)
-        loads = {}
-        for mode in ("perfect_csi", "perfect_init", "iterative", "lmmse_only"):
-            result = capacity_search(template, conv_codec, mode,
-                                     target_ber=1e-3, trials=2, iterations=5,
-                                     experiment_id=f"acc10-M{m}")
-            loads[mode] = result.max_load
+        results = capacity_search(template, conv_codec, MODES, target_ber=1e-3,
+                                  trials=2, iterations=5, experiment_id=f"acc10-M{m}")
+        loads = {mode: result.max_load for mode, result in results.items()}
         ordered = (loads["perfect_csi"] >= loads["perfect_init"]
                    >= loads["iterative"] >= loads["lmmse_only"])
         gapped = loads["iterative"] >= loads["lmmse_only"] + 0.05

@@ -151,7 +151,7 @@ class TestIterateMap:
         # pe <- 0.3*(0.01 + pe) settles at 0.003/0.7
         curve = _linear_curve(0.3)
         coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
-        report = analysis.iterate_map(curve, coeffs, start=0.05, tol=1e-14)
+        report = analysis.iterate_map(curve, coeffs, start=0.05)
         assert report.converged and report.banach_certified
         assert report.fixed_point == pytest.approx(0.003 / 0.7, abs=1e-10)
         assert report.contraction_modulus == pytest.approx(0.3)
@@ -163,7 +163,7 @@ class TestIterateMap:
     def test_banach_bound_holds_at_every_iterate(self):
         curve = _linear_curve(0.3)
         coeffs = analysis.MapCoefficients(d0=0.01, d1=1.0)
-        report = analysis.iterate_map(curve, coeffs, start=0.05, tol=1e-14)
+        report = analysis.iterate_map(curve, coeffs, start=0.05)
         errs = np.abs(report.trace - report.fixed_point)
         assert np.all(errs <= report.error_bounds + 1e-15)
 

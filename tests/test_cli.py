@@ -215,6 +215,8 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     (["capacity", "--coherence-times", "10,1", "--modes", "perfect_csi", "--trials", "1",
       "--iterations", "1"],
      "itercdma capacity: error: every block is pure training; nothing to decode"),
+    (["fig2", "--coherence-times", "10,1", "--trials", "4", "--realizations", "2"],
+     "itercdma fig2: error: coherence_time must exceed n_paths*load (1)"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
@@ -226,7 +228,7 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
         "fixedpoint_negative_max_iter", "fig3_second_error_rate_past_half",
         "fig3_second_error_rate_nan", "capacity_zero_iterations_after_lmmse_only",
-        "capacity_second_block_pure_training"])
+        "capacity_second_block_pure_training", "fig2_second_coherence_time_at_bound"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
@@ -251,8 +253,8 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
 @pytest.mark.parametrize("argv, csv_name", [
     (["fig2", "--coherence-times", "10,20", "--trials", "40", "--realizations", "8",
       "--seed", "5"], "estimation_variance.csv"),
-    (["capacity", "--modes", "lmmse_only", "--target-ber", "0.5", "--coherence-times", "10",
-      "--trials", "2", "--iterations", "1"], "capacity.csv"),
+    (["capacity", "--modes", "iterative,lmmse_only", "--target-ber", "0.5",
+      "--coherence-times", "10", "--trials", "2", "--iterations", "1"], "capacity.csv"),
 ], ids=["fig2", "capacity"])
 def test_same_files_over_one_or_two_processes(tmp_path, argv, csv_name, serial, use_cpus):
     # a (config, seed) pair gives one result whatever the worker count

@@ -46,7 +46,9 @@ class _RecordingCodec:
 # 4 iterations, 2 trials, experiment "golden".  Counts are per trial and per
 # decode, so a trial that stops early (its decisions repeated) is shorter.
 # Keys are receiver modes under independent codes; "shifted" runs the
-# iterative mode on sliding-window codes.
+# iterative mode on sliding-window codes.  Every mode draws what the
+# iterative mode draws, so lmmse_only is the iterative trace's stage 0, and
+# perfect_init and perfect_csi share theirs.
 GOLDEN = {
     "iterative": dict(
         counts=[[(2658, 1866), (2633, 1861), (2633, 1861)],
@@ -58,19 +60,15 @@ GOLDEN = {
         residual_interference_power=[NAN, 0.7662573065152954,
                                      0.7612265572639265, 0.7612177571281082,
                                      0.7603596374677808]),
-    "lmmse_only": dict(
-        counts=[[(2732, 1924)], [(2723, 1961)]],
-        est_error_power=[0.9618806902658372],
-        residual_interference_power=[NAN]),
     "perfect_init": dict(
-        counts=[[(10, 6), (10, 6)], [(18, 14), (18, 14)]],
-        est_error_power=[NAN] + [0.08006127989059078] * 4,
-        residual_interference_power=[NAN] + [0.6422514938984221] * 4),
+        counts=[[(18, 10), (18, 10)], [(0, 0), (0, 0)]],
+        est_error_power=[NAN] + [0.07981508670571838] * 4,
+        residual_interference_power=[NAN] + [0.6448001719958822] * 4),
     "perfect_csi": dict(
-        counts=[[(14, 6), (7, 3), (7, 3)], [(0, 0), (0, 0)]],
+        counts=[[(18, 10), (0, 0), (0, 0)], [(0, 0), (0, 0)]],
         est_error_power=[NAN] * 5,
-        residual_interference_power=[NAN, 0.706264734314743]
-        + [0.7063480723848272] * 3),
+        residual_interference_power=[NAN, 0.7028856784380662]
+        + [0.7025984667031908] * 3),
     "shifted": dict(
         counts=[[(2758, 1924), (2729, 1915), (2719, 1911), (2719, 1911)],
                 [(2725, 1923), (2701, 1913), (2691, 1907), (2688, 1908),
@@ -82,6 +80,24 @@ GOLDEN = {
                                      0.766780914445381, 0.7657764911305178,
                                      0.7656213579685067]),
 }
+
+
+def _first_stage(golden):
+    """The stage-0 rows of a golden table: what a one-stage trace of the same draws reads."""
+    return dict(counts=[counts[:1] for counts in golden["counts"]],
+                est_error_power=golden["est_error_power"][:1],
+                residual_interference_power=golden["residual_interference_power"][:1])
+
+
+GOLDEN["lmmse_only"] = _first_stage(GOLDEN["iterative"])
+
+
+def test_genie_golden_tables_share_their_first_stage():
+    init, csi = _first_stage(GOLDEN["perfect_init"]), _first_stage(GOLDEN["perfect_csi"])
+    assert init["counts"] == csi["counts"]
+    np.testing.assert_array_equal(init["est_error_power"], csi["est_error_power"])
+    np.testing.assert_array_equal(init["residual_interference_power"],
+                                  csi["residual_interference_power"])
 
 
 @pytest.mark.parametrize("case", [*MODES, "shifted"])
@@ -116,6 +132,23 @@ def test_golden_trace(conv_codec, case, use_cpus, serial):
     np.testing.assert_array_equal(trace.per_trial_feedback * n_coded, filled[..., 0])
     np.testing.assert_allclose(trace.info_bit_error_rate * n_info,
                                filled[..., 1].mean(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode, first_stage_of", [("lmmse_only", "iterative"),
+                                                   ("perfect_init", "perfect_csi")])
+def test_modes_share_their_first_stage(conv_codec, mode, first_stage_of, use_cpus):
+    # the draws do not depend on the mode, so two modes whose stage 0 is the
+    # same receiver agree there bit for bit, in one process and over two
+    cfg = _cfg(n_users=8, noise_var=noise_var_from_snr_db(1.5))
+    run = partial(run_iterative_receiver, cfg, conv_codec, iterations=2, trials=2,
+                  experiment_id="first-stage")
+    for processes in (1, 2):
+        use_cpus(processes)
+        trace, other = run(mode=mode), run(mode=first_stage_of)
+        for name in ("feedback_error_rate", "info_bit_error_rate", "est_error_power",
+                     "residual_interference_power", "per_trial_feedback"):
+            np.testing.assert_array_equal(getattr(trace, name)[..., 0],
+                                          getattr(other, name)[..., 0])
 
 
 def test_each_block_drawn_once_per_trial(conv_codec, monkeypatch, serial):
@@ -270,11 +303,13 @@ class TestReceiverRuns:
                                                           conv_gcurve):
         # one user, perfect gains: the loop is just MRC plus decoding, so
         # the interference record collapses to the noise floor and the bit
-        # error rate lands near the scalar-channel curve at 1/SINR = noise
+        # error rate lands near the scalar-channel curve at 1/SINR = noise;
+        # a trial is one codeword, and about two in three decode clean here,
+        # so the ratio needs tens of trials
         cfg = _cfg(n_users=1, n_paths=20, coherence_time=20, n_training=4,
                    noise_var=1.05, seed=17)
         trace = run_iterative_receiver(cfg, conv_codec, iterations=1,
-                                       trials=4, mode="perfect_csi")
+                                       trials=32, mode="perfect_csi")
         assert trace.residual_interference_power[1] \
             == pytest.approx(1.05, rel=0.10)
         scalar_ber = float(np.interp(1.05, conv_gcurve.xs,
@@ -332,18 +367,35 @@ class TestTrajectoryTracking:
 @pytest.mark.slow
 class TestCapacitySearch:
     def test_iterative_beats_single_stage(self, conv_codec):
+        results = capacity_search(_cfg(n_users=1), conv_codec, ("iterative", "lmmse_only"),
+                                  trials=2, iterations=4)
+        assert results["iterative"].max_load >= results["lmmse_only"].max_load + 0.05
+        assert all(len(p) == 3 for p in results["iterative"].probes)
+
+    def test_lmmse_only_read_off_iterative_runs(self, conv_codec, monkeypatch):
+        # the lmmse_only search reads stage 0 of the iterative runs it meets,
+        # and finds what it finds alone with fewer runs of its own
+        runs = []
+
+        def counting(config, codec, **kwargs):
+            runs.append(kwargs["mode"])
+            return run_iterative_receiver(config, codec, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_iterative_receiver", counting)
         template = _cfg(n_users=1)
-        res_iter = capacity_search(template, conv_codec, "iterative",
-                                   trials=2, iterations=4)
-        res_lmmse = capacity_search(template, conv_codec, "lmmse_only",
-                                    trials=2)
-        assert res_iter.max_load >= res_lmmse.max_load + 0.05
-        assert all(len(p) == 3 for p in res_iter.probes)
+        joint = capacity_search(template, conv_codec, ("lmmse_only", "iterative"),
+                                trials=2, iterations=2)["lmmse_only"]
+        joint_runs = runs.count("lmmse_only")
+        alone = capacity_search(template, conv_codec, ("lmmse_only",),
+                                trials=2, iterations=2)["lmmse_only"]
+        assert joint.max_load == alone.max_load
+        assert joint.probes == alone.probes
+        assert joint_runs < runs.count("lmmse_only") - joint_runs
 
     def test_rank_limited_probes_counted_infeasible(self, conv_codec):
         # at the grid's lowest load (K=2) the pilots give 32 equations for 40 unknowns
         template = _cfg(n_users=1, n_paths=20, coherence_time=5, n_training=1)
-        res = capacity_search(template, conv_codec, "iterative",
-                              trials=1, iterations=2)
+        res = capacity_search(template, conv_codec, ("iterative",),
+                              trials=1, iterations=2)["iterative"]
         assert res.max_load == 0.0
         assert res.probes == [(analysis.LOAD_GRID[0], None, False)]
