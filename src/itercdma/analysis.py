@@ -259,11 +259,9 @@ class MultiFixedPointInstance:
 @dataclass
 class UniquenessReport:
     certified: bool
-    gamma: float | None
     max_slope: float
     d1_limit: float | None        # largest D1 the certificate admits
     counterexample: MultiFixedPointInstance | None = None
-    note: str = ""
 
 
 def _count_fixed_points(g, d0: float, d1: float):
@@ -304,27 +302,23 @@ def check_uniqueness(g, d1: float, gamma: float) -> UniquenessReport:
     contraction and has a single fixed point reached at geometric rate.
     When the certificate fails, anchors x with 1/g'(x) < D1 < x/g(x) are
     scanned; the first that yields a verified instance (at least two grid
-    sign changes) is returned as the counterexample.
+    sign changes) is returned as the counterexample; without one, none was
+    found.  A flat curve certifies with no limit on D1.
     """
     if not 0 < gamma < 1:
         raise ParameterError("gamma must lie in (0, 1)")
     max_slope = g.max_slope
     if max_slope <= 0:
-        return UniquenessReport(certified=True, gamma=0.0, max_slope=max_slope,
-                                d1_limit=None, note="flat curve: map is constant")
+        return UniquenessReport(certified=True, max_slope=max_slope, d1_limit=None)
     limit = gamma / max_slope
     if d1 <= limit:
-        return UniquenessReport(certified=True, gamma=gamma * d1 / limit,
-                                max_slope=max_slope, d1_limit=limit)
+        return UniquenessReport(certified=True, max_slope=max_slope, d1_limit=limit)
     for x1 in np.linspace(g.sigma_I_max, 0.0, 200, endpoint=False):
         instance = construct_multiple_fixed_points(g, float(x1), d1)
         if instance is not None and instance.sign_changes >= 2:
-            return UniquenessReport(certified=False, gamma=None,
-                                    max_slope=max_slope, d1_limit=limit,
+            return UniquenessReport(certified=False, max_slope=max_slope, d1_limit=limit,
                                     counterexample=instance)
-    return UniquenessReport(certified=False, gamma=None, max_slope=max_slope,
-                            d1_limit=limit,
-                            note="no counterexample constructible on the domain")
+    return UniquenessReport(certified=False, max_slope=max_slope, d1_limit=limit)
 
 
 # ---------------------------------------------------------------------------

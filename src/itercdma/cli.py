@@ -52,7 +52,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     manifest = {
         "experiment": experiment,
         "version": __version__,
-        "master_seed": config.seed if config is not None else args.seed or 0,
+        "master_seed": config.seed if config is not None else getattr(args, "seed", None) or 0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -195,9 +195,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_fixedpoint(args) -> int:
     g = GCurve.load_csv(args.gcurve)
-    noise_var = (noise_var_from_snr_db(args.snr_db) if args.snr_db is not None
-                 else args.noise_var)
-    coeffs = analysis.map_coefficients(noise_var, args.load, args.paths,
+    coeffs = analysis.map_coefficients(args.noise_var, args.load, args.paths,
                                        args.coherence_time)
     report = analysis.iterate_map(g, coeffs, start=args.start,
                                   max_iter=args.max_iter)
@@ -276,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, config=True):
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--config", default=None, help="flat key=value config file")
+        if config:
+            p.add_argument("--config", default=None, help="flat key=value config file")
 
     p = sub.add_parser("fig2", help="estimation variance vs coherence time")
     common(p)
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("gcurve", help="estimate the decoder characteristic")
-    common(p)
+    common(p, config=False)
     p.add_argument("--codec", default="conv", choices=("conv", "turbo"))
     p.add_argument("--grid", type=_grid, default="0.2:4.0:16",
                    help="lo:hi:count of 1/SINR values")
@@ -318,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("fixedpoint", help="scalar-map analysis from a stored curve")
-    common(p)
+    p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--gcurve", required=True)
-    p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--noise-var", type=_nonnegative, default=0.3162)
     p.add_argument("--load", type=float, default=0.5)
     p.add_argument("--paths", type=int, default=5)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import read_text
 from ..exceptions import ConfigurationError, DataQualityWarning, ParameterError
 
 _BATCH = 25               # codewords per Monte Carlo measurement
@@ -92,34 +93,33 @@ class GCurve:
         label = ""
         xs, pes, ber = [], [], []
         width = 0                         # cells in the first data row
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "label=" in line:
-                        label = line.split("label=", 1)[1].strip()
-                    continue
-                if line.startswith("x,"):
-                    continue
-                try:
-                    x, pe, *rest = (float(cell) for cell in line.split(","))
-                except ValueError:        # a non-number, or fewer than two cells
-                    raise ConfigurationError(
-                        f"{path}, line {lineno}: expected 'x,pe[,info_ber]', got {line!r}"
-                    ) from None
-                cells = 2 + len(rest)
-                width = width or cells
-                if cells > 3:
-                    raise ConfigurationError(
-                        f"{path}, line {lineno}: {cells} cells, expected 'x,pe[,info_ber]'")
-                if cells != width:
-                    raise ConfigurationError(f"{path}, line {lineno}: {cells} cells, "
-                                             f"but the first data row has {width}")
-                xs.append(x)
-                pes.append(pe)
-                ber.extend(rest)
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if "label=" in line:
+                    label = line.split("label=", 1)[1].strip()
+                continue
+            if line.startswith("x,"):
+                continue
+            try:
+                x, pe, *rest = (float(cell) for cell in line.split(","))
+            except ValueError:        # a non-number, or fewer than two cells
+                raise ConfigurationError(
+                    f"{path}, line {lineno}: expected 'x,pe[,info_ber]', got {line!r}"
+                ) from None
+            cells = 2 + len(rest)
+            width = width or cells
+            if cells > 3:
+                raise ConfigurationError(
+                    f"{path}, line {lineno}: {cells} cells, expected 'x,pe[,info_ber]'")
+            if cells != width:
+                raise ConfigurationError(f"{path}, line {lineno}: {cells} cells, "
+                                         f"but the first data row has {width}")
+            xs.append(x)
+            pes.append(pe)
+            ber.extend(rest)
         if not xs:
             raise ConfigurationError(f"{path}: no curve points")
         return cls(xs=np.array(xs), pes=np.array(pes), label=label,

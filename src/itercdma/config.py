@@ -117,8 +117,7 @@ class SystemConfig:
 
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path)
         try:
             return cls.from_text(text)
         except ConfigurationError as exc:
@@ -127,6 +126,17 @@ class SystemConfig:
     def digest(self) -> str:
         """Stable short hash of the full configuration."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+
+def read_text(path) -> str:
+    """The text of an input file; a file that cannot be read raises ConfigurationError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def noise_var_from_snr_db(snr_db: float) -> float:

@@ -237,9 +237,15 @@ def run_iterative_receiver(config: SystemConfig,
 
     Raises :class:`RankError` if the channel estimation problem of any
     stage is underdetermined at this load (callers probing capacity treat
-    that as an infeasible operating point).
+    that as an infeasible operating point).  When the pilots alone give
+    fewer equations than unknowns (K*L > M_t*N), ``iterative`` and
+    ``lmmse_only`` raise it before any draw.
     """
     check_receiver_arguments(config, codec, iterations, trials, mode)
+    pilot_equations = config.n_training * config.spreading_gain
+    if mode in ("iterative", "lmmse_only") and config.n_gains > pilot_equations:
+        raise RankError(f"underdetermined system: {pilot_equations} pilot equations "
+                        f"for {config.n_gains} unknowns")
     n_iter = 0 if mode == "lmmse_only" else iterations
     stats = np.stack(split_map(partial(_run_trial, config, codec, n_iter, mode, experiment_id),
                                range(trials)), axis=1)

@@ -15,7 +15,7 @@ a good start.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,14 +28,10 @@ CONDITION_LIMIT = 1e12
 @dataclass
 class SolveResult:
     solution: np.ndarray
-    method: str
     iterations: int
-    converged: bool
     residual: float                      # ||R x - y|| / ||y||
     spectral_radius: float | None = None  # empirical contraction estimate
     condition: float | None = None
-    precheck: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
 
 def _is_positive_definite(mat: np.ndarray) -> bool:
@@ -97,8 +93,7 @@ def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
     x = _on_pairs(lambda pairs: sla.cho_solve(factor, pairs, check_finite=False), rhs)
     res = (np.linalg.norm(_real_matmul(gram, x) - rhs)
            / max(np.linalg.norm(rhs), np.finfo(float).tiny))
-    return SolveResult(solution=x, method="direct", iterations=0, converged=True,
-                       residual=float(res), condition=condition)
+    return SolveResult(solution=x, iterations=0, residual=float(res), condition=condition)
 
 
 def _iterative_solve(gram: np.ndarray, rhs: np.ndarray, method: str,
@@ -110,20 +105,13 @@ def _iterative_solve(gram: np.ndarray, rhs: np.ndarray, method: str,
     if np.any(diag <= 0):
         raise RankError("Gram matrix has a nonpositive diagonal entry")
 
-    precheck = {"positive_definite": _is_positive_definite(gram)}
-    warns = []
-    if method == "jacobi":
-        precheck["jacobi_condition"] = _is_positive_definite(2.0 * np.diag(diag) - gram)
-        if not precheck["jacobi_condition"]:
-            msg = ("Jacobi convergence precondition violated: 2*diag(R) - R is not "
-                   "positive definite (largest eigenvalue of R over its diagonal "
-                   "reaches 2); iterating anyway")
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
-            warns.append(msg)
-    if not precheck["positive_definite"]:
-        msg = f"{method} precondition violated: R is not positive definite"
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        warns.append(msg)
+    if method == "jacobi" and not _is_positive_definite(2.0 * np.diag(diag) - gram):
+        warnings.warn("Jacobi convergence precondition violated: 2*diag(R) - R is not "
+                      "positive definite (largest eigenvalue of R over its diagonal "
+                      "reaches 2); iterating anyway", RuntimeWarning, stacklevel=3)
+    if not _is_positive_definite(gram):
+        warnings.warn(f"{method} precondition violated: R is not positive definite",
+                      RuntimeWarning, stacklevel=3)
 
     rhs_norm = max(np.linalg.norm(rhs), np.finfo(float).tiny)
     x = np.zeros(n, dtype=np.result_type(gram, rhs))
@@ -150,9 +138,8 @@ def _iterative_solve(gram: np.ndarray, rhs: np.ndarray, method: str,
     tail = np.array(res_norms[-6:])
     ratios = tail[1:] / np.maximum(tail[:-1], np.finfo(float).tiny)
     rho = float(np.exp(np.mean(np.log(np.maximum(ratios, np.finfo(float).tiny)))))
-    return SolveResult(solution=x, method=method, iterations=it, converged=True,
-                       residual=float(res_norms[-1] / rhs_norm),
-                       spectral_radius=rho, precheck=precheck, warnings=warns)
+    return SolveResult(solution=x, iterations=it, residual=float(res_norms[-1] / rhs_norm),
+                       spectral_radius=rho)
 
 
 def solve_normal_equations(gram: np.ndarray,
@@ -164,8 +151,8 @@ def solve_normal_equations(gram: np.ndarray,
 
     Raises :class:`RankError` for a singular or badly conditioned system
     (direct method) and :class:`SolverError` when the iteration budget runs
-    out.  Precheck outcomes and any convergence warnings are recorded on the
-    result.
+    out.  A failed convergence precheck of an iterative method is issued as a
+    :class:`RuntimeWarning`.
     """
     gram = np.asarray(gram)
     rhs = np.asarray(rhs)

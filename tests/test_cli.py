@@ -24,6 +24,15 @@ def _manifest(outdir):
         return json.load(fh)
 
 
+def _run_cli(argv, **env):
+    """``python -m itercdma.cli *argv`` in a fresh interpreter, with ``env`` added."""
+    src = str(Path(itercdma.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "itercdma.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     out = tmp_path / "fig2"
     rc = main(["fig2", "--out", str(out), "--coherence-times", "10,20",
@@ -139,8 +148,15 @@ def test_config_file_override(tmp_path):
     ["capacity", "--gcurve", "curve.csv", "--coherence-times", "10",
      "--trials", "1", "--iterations", "1"],
     ["fixedpoint", "--gcurve", "curve.csv", "--noise-var", "-1"],
+    ["fixedpoint", "--gcurve", "curve.csv", "--noise-var", "nan"],
+    ["gcurve", "--config", "scenario.cfg"],
+    ["fixedpoint", "--gcurve", "curve.csv", "--config", "scenario.cfg"],
+    ["fixedpoint", "--gcurve", "curve.csv", "--seed", "3"],
+    ["fixedpoint", "--gcurve", "curve.csv", "--snr-db", "10"],
 ], ids=["capacity_unknown_mode", "gcurve_short_grid", "gcurve_empty_grid",
-        "fig2_non_integer_m", "capacity_no_gcurve_option", "fixedpoint_negative_noise_var"])
+        "fig2_non_integer_m", "capacity_no_gcurve_option", "fixedpoint_negative_noise_var",
+        "fixedpoint_nan_noise_var", "gcurve_no_config_option", "fixedpoint_no_config_option",
+        "fixedpoint_no_seed_option", "fixedpoint_no_snr_option"])
 def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as info:
@@ -179,8 +195,6 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
     (["fig2", "--config", "{tmp}/nan_noise.cfg"],
      "itercdma fig2: error: {tmp}/nan_noise.cfg: noise_var must be finite and nonnegative, "
      "got nan"),
-    (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--snr-db", "nan"],
-     "itercdma fixedpoint: error: noise_var and load must be finite, got nan and 0.5"),
     (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--noise-var", "inf"],
      "itercdma fixedpoint: error: noise_var and load must be finite, got inf and 0.5"),
     (["fixedpoint", "--gcurve", "{tmp}/good.csv", "--start", "nan"],
@@ -217,18 +231,28 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma capacity: error: every block is pure training; nothing to decode"),
     (["fig2", "--coherence-times", "10,1", "--trials", "4", "--realizations", "2"],
      "itercdma fig2: error: coherence_time must exceed n_paths*load (1)"),
+    (["fig2", "--config", "{tmp}/missing.cfg"],
+     "itercdma fig2: error: {tmp}/missing.cfg: No such file or directory"),
+    (["fig2", "--config", "{tmp}"],
+     "itercdma fig2: error: {tmp}: Is a directory"),
+    (["fig2", "--config", "{tmp}/not_text.cfg"],
+     "itercdma fig2: error: {tmp}/not_text.cfg: "),
+    (["fixedpoint", "--gcurve", "{tmp}/missing.csv"],
+     "itercdma fixedpoint: error: {tmp}/missing.csv: No such file or directory"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
         "fixedpoint_zero_paths", "fixedpoint_negative_paths", "capacity_negative_target_ber",
-        "fig2_nan_noise_var_in_config", "fixedpoint_nan_snr", "fixedpoint_infinite_noise_var",
+        "fig2_nan_noise_var_in_config", "fixedpoint_infinite_noise_var",
         "fixedpoint_nan_start", "gcurve_nan_grid_point", "fig2_zero_realizations",
         "fig2_negative_realizations", "fig3_zero_realizations", "fig3_negative_realizations",
         "fig2_trials_not_a_multiple", "fig3_frames_not_a_multiple",
         "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
         "fixedpoint_negative_max_iter", "fig3_second_error_rate_past_half",
         "fig3_second_error_rate_nan", "capacity_zero_iterations_after_lmmse_only",
-        "capacity_second_block_pure_training", "fig2_second_coherence_time_at_bound"])
+        "capacity_second_block_pure_training", "fig2_second_coherence_time_at_bound",
+        "fig2_missing_config", "fig2_config_is_a_directory", "fig2_config_not_text",
+        "fixedpoint_missing_curve"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
@@ -236,13 +260,10 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "good.csv").write_text("x,pe\n0.0,0.0\n1.0,0.1\n2.0,0.3\n")
     (tmp_path / "negative.csv").write_text("x,pe\n0,-0.2\n1,-0.1\n2,0\n")
     (tmp_path / "nan_noise.cfg").write_text("n_users = 10\nspreading_gain = 50\nnoise_var = nan\n")
+    (tmp_path / "not_text.cfg").write_bytes(b"n_users = 10\xff\nspreading_gain = 50\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    src = str(Path(itercdma.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "itercdma.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(argv + ["--out", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.startswith(message.format(tmp=tmp_path))
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -265,6 +286,22 @@ def test_same_files_over_one_or_two_processes(tmp_path, argv, csv_name, serial, 
     assert (one / csv_name).read_bytes() == (two / csv_name).read_bytes()
     manifests = [_manifest(one), _manifest(two)]
     assert [m["environment"].pop("processes") for m in manifests] == [1, 2]
+    for m in manifests:
+        del m["timestamp"]
+    assert manifests[0] == manifests[1]
+
+
+def test_same_files_in_fresh_interpreters(tmp_path):
+    # a (config, seed) pair gives one result in interpreters whose str hashes differ
+    argv = ["fig2", "--coherence-times", "10,20", "--trials", "40", "--realizations", "8",
+            "--seed", "5"]
+    runs = [tmp_path / "hash0", tmp_path / "hash1"]
+    for hash_seed, out in zip("01", runs):
+        proc = _run_cli(argv + ["--out", str(out)], PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+    csv_name = "estimation_variance.csv"
+    assert (runs[0] / csv_name).read_bytes() == (runs[1] / csv_name).read_bytes()
+    manifests = [_manifest(out) for out in runs]
     for m in manifests:
         del m["timestamp"]
     assert manifests[0] == manifests[1]

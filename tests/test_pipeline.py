@@ -299,6 +299,22 @@ class TestReceiverRuns:
             run_iterative_receiver(_cfg(n_users=14), conv_codec,
                                    iterations=1, trials=1)
 
+    @pytest.mark.parametrize("mode", ["iterative", "lmmse_only"])
+    def test_pilot_overload_raises_before_any_draw(self, conv_codec, monkeypatch, serial,
+                                                   mode):
+        # 14 x 5 gains from 2 x 32 pilot equations: decided from the config alone
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_stream(*args)
+
+        monkeypatch.setattr(pipeline, "derive_stream", counting)
+        with pytest.raises(RankError, match="underdetermined"):
+            serial(run_iterative_receiver, _cfg(n_users=14), conv_codec,
+                   iterations=1, trials=1, mode=mode)
+        assert calls == []
+
     def test_genie_reduction_to_single_user_coded_channel(self, conv_codec,
                                                           conv_gcurve):
         # one user, perfect gains: the loop is just MRC plus decoding, so
