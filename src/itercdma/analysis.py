@@ -228,20 +228,17 @@ class ConvergenceCheck:
 
     within_domain: bool           # sigma_I^2(0) < sigma_I_max
     decreasing: bool              # g(sigma_I^2(0)) < (sigma_I^2(0) - D0)/D1
-    domain_margin: float
     decrease_margin: float
 
 
 def check_convergence_conditions(g, initial_interference_var: float,
                                  coeffs: MapCoefficients) -> ConvergenceCheck:
     """Evaluate both start-up conditions in the interference-power domain."""
-    sigma_max = g.sigma_I_max
-    within = initial_interference_var < sigma_max
+    within = initial_interference_var < g.sigma_I_max
     threshold = (initial_interference_var - coeffs.d0) / coeffs.d1
     value = float(g(initial_interference_var))
     return ConvergenceCheck(within_domain=bool(within),
                             decreasing=bool(value < threshold),
-                            domain_margin=float(sigma_max - initial_interference_var),
                             decrease_margin=float(threshold - value))
 
 
@@ -251,7 +248,6 @@ class MultiFixedPointInstance:
 
     d0: float
     d1: float
-    anchor: float                 # the x1 used in the construction
     sign_changes: int
     crossings: np.ndarray         # approximate fixed points found on the grid
 
@@ -291,8 +287,7 @@ def construct_multiple_fixed_points(g, x1: float, d1: float) -> MultiFixedPointI
         return None
     d0 = x1 - d1 * value
     changes, crossings = _count_fixed_points(g, d0, d1)
-    return MultiFixedPointInstance(d0=d0, d1=d1, anchor=x1,
-                                   sign_changes=changes, crossings=crossings)
+    return MultiFixedPointInstance(d0=d0, d1=d1, sign_changes=changes, crossings=crossings)
 
 
 def check_uniqueness(g, d1: float, gamma: float) -> UniquenessReport:

@@ -36,7 +36,7 @@ from .codec.gcurve import GCurve
 from .config import SystemConfig, derive_stream, noise_var_from_snr_db
 from .detector import measure_pic_stats
 from .estimator import empirical_estimation_stats
-from .exceptions import ItercdmaError
+from .exceptions import ConfigurationError, ItercdmaError
 from .pipeline import capacity_search, check_receiver_arguments
 from .pipeline import MODES as PIPELINE_MODES
 
@@ -47,7 +47,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     Each command calls this once, after its work has succeeded.  ``files``
     maps a file name to a header-plus-rows CSV table, a dict (written as
     JSON) or a decoder curve, which writes itself with ``save_csv(path)``
-    so that ``GCurve.load_csv`` reads it back.
+    so that ``GCurve.load_csv`` reads it back; a failed write raises ConfigurationError.
     """
     manifest = {
         "experiment": experiment,
@@ -68,16 +68,19 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
         manifest["config_hash"] = config.digest()
     manifest.update(extra)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in {**files, "run_manifest.json": manifest}.items():
-        if hasattr(content, "save_csv"):
-            content.save_csv(outdir / name)
-        elif isinstance(content, dict):
-            with open(outdir / name, "w") as fh:
-                json.dump(content, fh, indent=2)
-        else:
-            with open(outdir / name, "w", newline="") as fh:
-                csv.writer(fh).writerows(content)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in {**files, "run_manifest.json": manifest}.items():
+            if hasattr(content, "save_csv"):
+                content.save_csv(outdir / name)
+            elif isinstance(content, dict):
+                with open(outdir / name, "w") as fh:
+                    json.dump(content, fh, indent=2)
+            else:
+                with open(outdir / name, "w", newline="") as fh:
+                    csv.writer(fh).writerows(content)
+    except OSError as exc:
+        raise ConfigurationError(f"{exc.filename or outdir}: {exc.strerror or exc}") from None
     return outdir
 
 
@@ -339,6 +342,11 @@ def main(argv=None) -> int:
     """Run one command; a library error ends it with one line on stderr and status 2."""
     args = build_parser().parse_args(argv)
     try:
+        # an --out that cannot be a directory fails before any work, creating nothing
+        out = Path(args.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigurationError(f"--out {out}: {existing} is not a directory")
         return args.func(args)
     except ItercdmaError as exc:
         print(f"itercdma {args.command}: error: {exc}", file=sys.stderr)

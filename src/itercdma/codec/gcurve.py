@@ -204,8 +204,8 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
     """Estimate the decoder curve over a grid of 1/SINR values.
 
     Each point accumulates codewords in batches until ``target_errors``
-    feedback-symbol errors are seen or the codeword budget runs out, which
-    keeps the relative error of each estimate roughly uniform.
+    feedback-symbol errors are seen or ``max_codewords`` have been sent,
+    which keeps the relative error of each estimate roughly uniform.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.all((grid > 0) & (grid < np.inf)):
@@ -216,8 +216,8 @@ def estimate_gcurve(source, grid, rng: np.random.Generator,
     # per point: symbol errors, symbols, info errors, info bits
     counts = np.zeros((len(grid), 4), dtype=np.int64)
     for x, row in zip(grid, counts):
-        for _ in range(0, max_codewords, _BATCH):
-            row += source.measure(float(x), _BATCH, rng)
+        for sent in range(0, max_codewords, _BATCH):
+            row += source.measure(float(x), min(_BATCH, max_codewords - sent), rng)
             if row[0] >= target_errors:
                 break
     return make_gcurve(grid, counts[:, 0] / counts[:, 1], weights=counts[:, 1],

@@ -99,6 +99,8 @@ class SystemConfig:
             key, val = key.strip(), val.strip()
             if key not in types:
                 raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
             try:
                 values[key] = types[key](val)
             except ValueError:

@@ -152,8 +152,8 @@ class DetectorStats:
     n_residual_samples: int
 
 
-def _pic_frame(config: SystemConfig, error_rate: float, channel_knowledge: str,
-               experiment_id: str, item: tuple[int, int]):
+def _pic_frame(config: SystemConfig, error_rate: float, experiment_id: str,
+               item: tuple[int, int]):
     """Frame ``f`` of realization ``r`` of :func:`measure_pic_stats`, ``item = (r, f)``.
 
     Returns Re(z b) and the symbols, both (M, K), the squared MRC noise and
@@ -167,14 +167,10 @@ def _pic_frame(config: SystemConfig, error_rate: float, channel_knowledge: str,
     symbols = sm.generate_symbols(config, rng)
     feedback = sm.corrupt_feedback(symbols, error_rate, config.n_training, rng)
     chips, _ = sm.synthesize_received(gains, codes, symbols, config, rng)
-    if channel_knowledge == "perfect":
-        est = gains
-    else:
-        stacked = build_stacked_matrix(codes, feedback)
-        est = leave_one_out_estimates_fast(stacked, chips).reshape(-1, *gains.shape)
-
+    est = leave_one_out_estimates_fast(build_stacked_matrix(codes, feedback),
+                                       chips).reshape(-1, *gains.shape)
     det = pic_mrc_frame(chips, codes, est, feedback, true_gains=gains, true_symbols=symbols)
-    signal = np.sum(est.conj() * gains, axis=-1)               # (K,) or (M, K)
+    signal = np.sum(est.conj() * gains, axis=-1)               # (M, K)
     b = symbols.T.astype(np.float64)                          # (M, K)
     return ((det.combined * b).real, symbols.T, np.abs(det.combined * b - signal) ** 2,
             np.abs(det.residual) ** 2,
@@ -197,17 +193,15 @@ def measure_pic_stats(config: SystemConfig,
     over the worker processes (``itercdma._workers.split_map``), each part
     drawing its realizations' channels again from their streams, and every
     statistic is the same bit for bit for any process count.
-    ``channel_knowledge`` picks the estimate handed to the canceller:
 
-    ``leave_one_out``  per-period refit excluding that period (default);
-                       this is the no-information-reuse receiver the
-                       closed-form residual expressions describe, since
-                       an estimate that also saw the detected period
-                       couples estimation and feedback errors and
-                       shrinks the residuals
-    ``perfect``        genie gains (no estimation error at all)
+    The canceller at period t uses the least-squares estimate refitted
+    without period t.  This is the no-information-reuse receiver that the
+    closed-form residual expressions describe: an estimate that also saw
+    the detected period couples estimation and feedback errors and shrinks
+    the residuals.  ``channel_knowledge`` names that source and takes no
+    other value.
     """
-    if channel_knowledge not in ("leave_one_out", "perfect"):
+    if channel_knowledge != "leave_one_out":
         raise ParameterError(f"unknown channel_knowledge {channel_knowledge!r}")
     if realizations < 1:
         raise ParameterError(f"realizations must be at least 1, got {realizations}")
@@ -220,7 +214,7 @@ def measure_pic_stats(config: SystemConfig,
     kk, m = config.n_users, config.coherence_time
 
     zb, bsign, noise_sq, resid_sq, errors, power = zip(*split_map(
-        partial(_pic_frame, config, error_rate, channel_knowledge, experiment_id),
+        partial(_pic_frame, config, error_rate, experiment_id),
         [(r, f) for r in range(realizations) for f in range(per_real)]))
     zb = np.reshape(zb, (realizations, per_real * m, kk))              # Re(z b) samples
     bsign = np.reshape(bsign, zb.shape)

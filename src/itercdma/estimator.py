@@ -211,7 +211,6 @@ class EstimationStats:
     sigma_n: np.ndarray
     gains_flat: np.ndarray
     cross_norm: float             # normalized |cross-cov(da_f, da_n)| trace
-    realizations: int
     trials_per_realization: int
     split_gap: float              # Gram-domain vs stacked split, largest relative gap
 
@@ -346,7 +345,6 @@ def empirical_estimation_stats(config: SystemConfig,
         sigma_n=sigma_n0,
         gains_flat=gains0,
         cross_norm=float(np.mean(np.abs(tfn) / np.maximum(np.sqrt(tf * tn), 1e-300))),
-        realizations=realizations,
         trials_per_realization=inner,
         split_gap=split_gap,
     )

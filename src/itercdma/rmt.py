@@ -88,7 +88,6 @@ class MomentReport:
     empirical_shifted: np.ndarray
     stderr_independent: np.ndarray
     stderr_shifted: np.ndarray
-    bound_constant: float
     bounds: np.ndarray
     trials: int
 
@@ -160,7 +159,6 @@ def empirical_eigen_moments(config: SystemConfig, max_order: int, trials: int,
         empirical_shifted=samples["shifted"].mean(axis=0),
         stderr_independent=samples["independent"].std(axis=0, ddof=1) / np.sqrt(trials),
         stderr_shifted=samples["shifted"].std(axis=0, ddof=1) / np.sqrt(trials),
-        bound_constant=_BOUND_CONSTANT,
         bounds=_moment_bounds(_BOUND_CONSTANT, max_order),
         trials=trials,
     )

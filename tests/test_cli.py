@@ -239,6 +239,9 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fig2: error: {tmp}/not_text.cfg: "),
     (["fixedpoint", "--gcurve", "{tmp}/missing.csv"],
      "itercdma fixedpoint: error: {tmp}/missing.csv: No such file or directory"),
+    (["fig2", "--config", "{tmp}/dup.cfg", "--coherence-times", "10", "--trials", "4",
+      "--realizations", "2"],
+     "itercdma fig2: error: {tmp}/dup.cfg: line 3: duplicate key 'n_users'"),
 ], ids=["fig2_zero_coherence_time", "fixedpoint_malformed_curve", "rmt_order_past_guard",
         "gcurve_zero_codewords", "gcurve_zero_target_errors", "fixedpoint_one_point_curve",
         "fixedpoint_nan_cell", "capacity_zero_trials", "fixedpoint_negative_load",
@@ -252,7 +255,7 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fig3_second_error_rate_nan", "capacity_zero_iterations_after_lmmse_only",
         "capacity_second_block_pure_training", "fig2_second_coherence_time_at_bound",
         "fig2_missing_config", "fig2_config_is_a_directory", "fig2_config_not_text",
-        "fixedpoint_missing_curve"])
+        "fixedpoint_missing_curve", "fig2_duplicate_config_key"])
 def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "bad.csv").write_text("not,a,curve\n")
     (tmp_path / "one_point.csv").write_text("x,pe\n0.5,0.1\n")
@@ -261,6 +264,7 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     (tmp_path / "negative.csv").write_text("x,pe\n0,-0.2\n1,-0.1\n2,0\n")
     (tmp_path / "nan_noise.cfg").write_text("n_users = 10\nspreading_gain = 50\nnoise_var = nan\n")
     (tmp_path / "not_text.cfg").write_bytes(b"n_users = 10\xff\nspreading_gain = 50\n")
+    (tmp_path / "dup.cfg").write_text("n_users = 10\nspreading_gain = 50\nn_users = 20\n")
     out = tmp_path / "never"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = _run_cli(argv + ["--out", str(out)])
@@ -305,6 +309,30 @@ def test_same_files_in_fresh_interpreters(tmp_path):
     for m in manifests:
         del m["timestamp"]
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_cannot_be_a_directory_fails_before_any_work(tmp_path, capsys, out):
+    # a regular file in the way used to end in a traceback after the results printed
+    (tmp_path / "taken").write_text("")
+    rc = main(["rmt", "--trials", "2", "--out", str(tmp_path / out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"itercdma rmt: error: --out {tmp_path / out}: "
+                            f"{tmp_path / 'taken'} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_unwritable_output_file_is_one_line(tmp_path, capsys):
+    # a directory where the moment table goes makes its open() fail
+    (tmp_path / "rmt_moments.csv").mkdir()
+    rc = main(["rmt", "--trials", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"itercdma rmt: error: {tmp_path / 'rmt_moments.csv'}: Is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rmt_moments.csv"]
 
 
 def test_failure_mid_work_leaves_no_output(tmp_path, capsys):

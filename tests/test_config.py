@@ -49,6 +49,12 @@ def test_config_text_rejects_unknown_key():
         SystemConfig.from_text("n_users = 4\nspreading_gain = 8\nbogus = 1\n")
 
 
+def test_config_text_rejects_duplicate_key():
+    # the second value used to replace the first without a word
+    with pytest.raises(ConfigurationError, match="line 3: duplicate key 'n_users'"):
+        SystemConfig.from_text("n_users = 10\nspreading_gain = 8\nn_users = 20\n")
+
+
 def test_noise_var_from_snr():
     assert noise_var_from_snr_db(5.0) == pytest.approx(10 ** -0.5)
     assert noise_var_from_snr_db(0.0) == 1.0

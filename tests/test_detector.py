@@ -304,6 +304,14 @@ def test_frames_not_a_multiple_of_realizations_rejected():
         measure_pic_stats(cfg, 0.1, frames=5, realizations=3)
 
 
+@pytest.mark.parametrize("knowledge", ["perfect", "all_periods"])
+def test_only_leave_one_out_estimates_accepted(knowledge):
+    cfg = SystemConfig(n_users=2, spreading_gain=8, n_paths=1, coherence_time=4,
+                       noise_var=0.1, seed=1)
+    with pytest.raises(ParameterError, match=f"unknown channel_knowledge '{knowledge}'"):
+        measure_pic_stats(cfg, 0.1, frames=2, realizations=1, channel_knowledge=knowledge)
+
+
 def test_residual_mean_near_zero():
     cfg = SystemConfig(n_users=10, spreading_gain=32, n_paths=2,
                        coherence_time=40, noise_var=0.2, seed=14)
@@ -327,15 +335,27 @@ def test_residual_mean_near_zero():
 
 def test_residual_power_shifts_one_for_one_with_noise():
     # with genie gains and fixed feedback error rate, sweeping the noise
-    # floor moves the residual power with unit slope
+    # floor moves the residual power with unit slope; the draws are those of
+    # measure_pic_stats (3 channel realizations of 4 frames each)
     powers = []
     noise_vars = [0.1, 0.2, 0.4, 0.8]
     for nv in noise_vars:
         cfg = SystemConfig(n_users=10, spreading_gain=20, n_paths=3,
                            coherence_time=40, noise_var=nv, seed=15)
-        st = measure_pic_stats(cfg, 0.1, frames=12, realizations=3,
-                               channel_knowledge="perfect")
-        powers.append(st.interference_power)
+        resid_sq = []
+        for r in range(3):
+            gains = sm.generate_channel(cfg, derive_stream(15, "pic-stats/realization", r))
+            for f in range(4):
+                rng = derive_stream(15, f"pic-stats/frame/{r}", f)
+                codes = sm.generate_codes(cfg, rng)
+                symbols = sm.generate_symbols(cfg, rng)
+                feedback = sm.corrupt_feedback(symbols, 0.1, cfg.n_training, rng)
+                chips, _ = sm.synthesize_received(gains, codes, symbols, cfg, rng)
+                det = pic_mrc_frame(chips, codes, gains, feedback,
+                                    true_gains=gains,
+                                    true_symbols=symbols)
+                resid_sq.append(np.abs(det.residual) ** 2)
+        powers.append(np.mean(resid_sq))
     slope = np.polyfit(noise_vars, powers, 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
 

@@ -20,6 +20,18 @@ class GenieSource:
         return errors, self.n, errors, self.n
 
 
+class CountingSource(GenieSource):
+    """A genie source that records the codeword count of every batch it is sent."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.batches = []
+
+    def measure(self, x, n_codewords, rng):
+        self.batches.append(n_codewords)
+        return super().measure(x, n_codewords, rng)
+
+
 def _measure_complex(codec, x, n_codewords, rng):
     """Reference sampler: forms the complex received sample, decodes its real part."""
     info = rng.integers(0, 2, size=(n_codewords, codec.info_length), dtype=np.int8)
@@ -142,6 +154,14 @@ class TestEstimation:
         probe = np.linspace(0.1, 0.65, 23)
         np.testing.assert_allclose(curve(probe), np.minimum(0.4, probe ** 2),
                                    atol=0.02)
+
+    @pytest.mark.parametrize("budget, sent", [(1, [1]), (10, [10]), (30, [25, 5]),
+                                              (50, [25, 25])])
+    def test_codeword_budget_is_never_exceeded(self, budget, sent):
+        source = CountingSource(lambda x: 0.0)      # never reaches the error target
+        estimate_gcurve(source, [0.5, 1.0], derive_stream(0, "budget", 0),
+                        target_errors=1, max_codewords=budget)
+        assert source.batches == 2 * sent
 
     def test_real_conv_curve_is_sane(self, conv_gcurve):
         g = conv_gcurve

@@ -29,8 +29,6 @@ _SAMPLERS = {
                           trials=15, realizations=5),
     "pic_leave_one_out": partial(detector.measure_pic_stats, _SMALL, 0.1,
                                  frames=6, realizations=3),
-    "pic_perfect": partial(detector.measure_pic_stats, _SMALL, 0.1, frames=5,
-                           realizations=5, channel_knowledge="perfect"),
     "moments": partial(rmt.empirical_eigen_moments, _SMALL, max_order=4, trials=3),
 }
 
@@ -68,6 +66,15 @@ def test_receiver_split_matches_serial(use_cpus, serial, conv_codec, mode, trial
     for processes in (2, 3):
         use_cpus(processes)
         _assert_same_trace(run(), expected)
+
+
+def test_turbo_receiver_split_matches_serial(use_cpus, serial, turbo_codec):
+    # each trial's turbo decode runs nested in its part of the trial split
+    run = partial(pipeline.run_iterative_receiver, _receiver_config(), turbo_codec,
+                  iterations=2, trials=2, mode="iterative")
+    expected = serial(run)
+    use_cpus(2)
+    _assert_same_trace(run(), expected)
 
 
 def test_worker_warnings_reach_the_caller_in_item_order(use_cpus):
