@@ -19,17 +19,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import __version__, analysis, rmt
+from . import HEAP_POLICY, __version__, analysis, rmt
 from ._workers import process_count
 from .codec import CodecSpec, CodedBpskSource, estimate_gcurve, make_codec
 from .codec.gcurve import GCurve
@@ -47,7 +49,10 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     Each command calls this once, after its work has succeeded.  ``files``
     maps a file name to a header-plus-rows CSV table, a dict (written as
     JSON) or a decoder curve, which writes itself with ``save_csv(path)``
-    so that ``GCurve.load_csv`` reads it back; a failed write raises ConfigurationError.
+    so that ``GCurve.load_csv`` reads it back.  Every file is written into a
+    temporary sibling of ``--out`` and moved into place only once all of
+    them are written and no destination is a directory, so a failed write
+    raises ConfigurationError and leaves none of the files in ``--out``.
     """
     manifest = {
         "experiment": experiment,
@@ -56,6 +61,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "heap_policy": HEAP_POLICY,
             "cpu_count": os.cpu_count(),
             "processes": process_count(),
             "python": platform.python_version(),
@@ -67,20 +73,30 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
         manifest["config"] = dataclasses.asdict(config)
         manifest["config_hash"] = config.digest()
     manifest.update(extra)
+    contents = {**files, "run_manifest.json": manifest}
     outdir = Path(args.out)
+    dest = None  # the output file being handled, named in the error
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, content in {**files, "run_manifest.json": manifest}.items():
-            if hasattr(content, "save_csv"):
-                content.save_csv(outdir / name)
-            elif isinstance(content, dict):
-                with open(outdir / name, "w") as fh:
-                    json.dump(content, fh, indent=2)
-            else:
-                with open(outdir / name, "w", newline="") as fh:
-                    csv.writer(fh).writerows(content)
+        with tempfile.TemporaryDirectory(prefix=f".{outdir.name}-", dir=outdir.parent) as tmp:
+            staged = {outdir / name: Path(tmp) / name for name in contents}
+            for dest, path in staged.items():
+                content = contents[dest.name]
+                if hasattr(content, "save_csv"):
+                    content.save_csv(path)
+                elif isinstance(content, dict):
+                    with open(path, "w") as fh:
+                        json.dump(content, fh, indent=2)
+                else:
+                    with open(path, "w", newline="") as fh:
+                        csv.writer(fh).writerows(content)
+            for dest in staged:
+                if dest.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            for dest, path in staged.items():
+                os.replace(path, dest)
     except OSError as exc:
-        raise ConfigurationError(f"{exc.filename or outdir}: {exc.strerror or exc}") from None
+        raise ConfigurationError(f"{dest or exc.filename or outdir}: {exc.strerror or exc}") from None
     return outdir
 
 

@@ -20,12 +20,12 @@ noise_var``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfc
 
 from ._workers import split_map
 from .config import SystemConfig, derive_stream
@@ -35,9 +35,12 @@ from .solvers import _real_matmul
 from . import system_model as sm
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def qfunc(x):
     """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x) / np.sqrt(2.0))
 
 
 def matched_filter_frame(chips: np.ndarray, codes: np.ndarray) -> np.ndarray:

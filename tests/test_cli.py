@@ -53,7 +53,8 @@ def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     assert env["cpu_count"] == os.cpu_count()
     assert env["numpy"] == np.__version__
     assert env["processes"] == _workers.process_count() >= 1
-    assert set(env) == {"OPENBLAS_NUM_THREADS", "cpu_count", "processes",
+    assert env["heap_policy"] == itercdma.HEAP_POLICY
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "heap_policy", "cpu_count", "processes",
                         "python", "numpy", "scipy"}
     assert "M=" in capsys.readouterr().out
 
@@ -333,6 +334,26 @@ def test_unwritable_output_file_is_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"itercdma rmt: error: {tmp_path / 'rmt_moments.csv'}: Is a directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rmt_moments.csv"]
+
+
+def test_failed_write_leaves_none_of_the_files(tmp_path):
+    # the manifest, written last, fails: the moment table must not stay behind alone
+    out = tmp_path / "o"
+    (out / "run_manifest.json").mkdir(parents=True)
+    proc = _run_cli(["rmt", "--trials", "2", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"itercdma rmt: error: {out / 'run_manifest.json'}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+
+def test_manifest_reports_a_heap_setting_of_the_user(tmp_path):
+    out = tmp_path / "rmt"
+    proc = _run_cli(["rmt", "--trials", "2", "--out", str(out)],
+                    MALLOC_MMAP_THRESHOLD_="131072")
+    assert proc.returncode == 0, proc.stderr
+    assert _manifest(out)["environment"]["heap_policy"] == (
+        "user" if itercdma.HEAP_POLICY is not None else None)
 
 
 def test_failure_mid_work_leaves_no_output(tmp_path, capsys):

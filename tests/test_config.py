@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -70,17 +71,58 @@ def test_stream_derivation_is_deterministic_and_disjoint():
     assert not np.allclose(a, d)
 
 
+def _python_with_itercdma(code, **preset):
+    """Run ``code`` in a fresh interpreter with no BLAS or allocator setting but ``preset``."""
+    env = {key: val for key, val in os.environ.items()
+           if not key.startswith("MALLOC_") and key not in ("GLIBC_TUNABLES",
+                                                             "OPENBLAS_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(Path(itercdma.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout.split()
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_import_sets_one_blas_thread_unless_user_set(preset, expected):
-    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    env["PYTHONPATH"] = str(Path(itercdma.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import os, itercdma; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == expected
+    code = "import os, itercdma; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert _python_with_itercdma(code, **env) == [expected]
+
+
+# four to seven live 1.5-3 MB arrays per round, like a sampler trial's working set
+_HEAP_CHURN = """
+import resource, itercdma, numpy as np
+def churn():
+    for i in range(20):
+        arrays = [np.ones((1_500_000 + 250_000 * ((i + j) % 7)) // 8) for j in range(4 + i % 4)]
+        del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+@pytest.mark.parametrize("preset", [
+    {}, {"MALLOC_MMAP_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"},
+], ids=["default", "malloc_env", "tunables"])
+def test_import_keeps_freed_heap_mapped_unless_user_set(preset):
+    # the policy's whole effect: freed sampler-sized arrays are reused, not faulted in again
+    [faults] = _python_with_itercdma(_HEAP_CHURN, **preset)
+    if preset:
+        assert int(faults) > 10_000
+    else:
+        assert int(faults) < 100
+
+
+def test_import_loads_no_scipy_special_or_optimize():
+    # each scipy submodule costs resident memory in every process
+    code = ("import sys, itercdma.pipeline, itercdma.rmt, itercdma.cli\n"
+            "print(*sorted({m for m in sys.modules if m.startswith(('scipy.special',"
+            " 'scipy.optimize'))}))")
+    assert _python_with_itercdma(code) == []
 
 
 def test_config_text_rejects_non_numeric_value(tmp_path):
