@@ -23,7 +23,8 @@ setting is process-wide and the worker processes inherit it.  It is left
 alone when the user has set ``MALLOC_MMAP_THRESHOLD_``,
 ``MALLOC_TRIM_THRESHOLD_``, ``MALLOC_TOP_PAD_`` or a ``glibc.malloc.*``
 entry of ``GLIBC_TUNABLES``.  :data:`HEAP_POLICY` records the outcome: the
-thresholds applied, ``"user"``, or ``None`` off glibc.
+thresholds applied (empty if glibc refused both), ``"user"``, or ``None`` off
+glibc.
 """
 
 import os
@@ -48,7 +49,7 @@ def _set_heap_policy():
     # parameter numbers from glibc's <malloc.h>
     thresholds = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20)}
     return {name: value for name, (param, value) in thresholds.items()
-            if mallopt(param, value) == 1} or None
+            if mallopt(param, value) == 1}
 
 
 HEAP_POLICY = _set_heap_policy()

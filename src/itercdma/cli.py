@@ -50,9 +50,10 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     maps a file name to a header-plus-rows CSV table, a dict (written as
     JSON) or a decoder curve, which writes itself with ``save_csv(path)``
     so that ``GCurve.load_csv`` reads it back.  Every file is written into a
-    temporary sibling of ``--out`` and moved into place only once all of
-    them are written and no destination is a directory, so a failed write
-    raises ConfigurationError and leaves none of the files in ``--out``.
+    temporary directory inside ``--out``, so on the same filesystem as its
+    destination, and moved into place only once all of them are written and
+    no destination is a directory.  A failed write raises ConfigurationError
+    and leaves none of the files in ``--out``.
     """
     manifest = {
         "experiment": experiment,
@@ -78,7 +79,7 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
     dest = None  # the output file being handled, named in the error
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=f".{outdir.name}-", dir=outdir.parent) as tmp:
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=outdir) as tmp:
             staged = {outdir / name: Path(tmp) / name for name in contents}
             for dest, path in staged.items():
                 content = contents[dest.name]

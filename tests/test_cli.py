@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -327,33 +328,37 @@ def test_out_that_cannot_be_a_directory_fails_before_any_work(tmp_path, capsys, 
 
 
 def test_unwritable_output_file_is_one_line(tmp_path, capsys):
-    # a directory where the moment table goes makes its open() fail
-    (tmp_path / "rmt_moments.csv").mkdir()
-    rc = main(["rmt", "--trials", "2", "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"itercdma rmt: error: {tmp_path / 'rmt_moments.csv'}: Is a directory\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["rmt_moments.csv"]
+    # a directory where one output file goes fails the write, and none of the files stays
+    for blocked in ("rmt_moments.csv", "run_manifest.json"):
+        out = tmp_path / blocked.split(".")[0]
+        (out / blocked).mkdir(parents=True)
+        rc = main(["rmt", "--trials", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"itercdma rmt: error: {out / blocked}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == [blocked]
 
 
-def test_failed_write_leaves_none_of_the_files(tmp_path):
-    # the manifest, written last, fails: the moment table must not stay behind alone
-    out = tmp_path / "o"
-    (out / "run_manifest.json").mkdir(parents=True)
-    proc = _run_cli(["rmt", "--trials", "2", "--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stderr == f"itercdma rmt: error: {out / 'run_manifest.json'}: Is a directory\n"
-    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+def test_out_whose_parent_is_read_only_gets_its_files(tmp_path, monkeypatch):
+    # a volume mount or a read-only working directory: only --out itself takes new entries
+    parent = tmp_path / "ro"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    mkdir = os.mkdir
 
+    def refuse_in_parent(path, *args, **kwargs):  # root writes through the mode bits
+        if Path(path).parent == parent and not os.path.lexists(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return mkdir(path, *args, **kwargs)
 
-def test_manifest_reports_a_heap_setting_of_the_user(tmp_path):
-    out = tmp_path / "rmt"
-    proc = _run_cli(["rmt", "--trials", "2", "--out", str(out)],
-                    MALLOC_MMAP_THRESHOLD_="131072")
-    assert proc.returncode == 0, proc.stderr
-    assert _manifest(out)["environment"]["heap_policy"] == (
-        "user" if itercdma.HEAP_POLICY is not None else None)
+    monkeypatch.setattr(os, "mkdir", refuse_in_parent)
+    parent.chmod(0o555)
+    try:
+        rc = main(["rmt", "--trials", "2", "--out", str(out)])
+    finally:
+        parent.chmod(0o755)
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["rmt_moments.csv", "run_manifest.json"]
+    assert [p.name for p in parent.iterdir()] == ["out"]
 
 
 def test_failure_mid_work_leaves_no_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import platform
 import subprocess
@@ -91,7 +92,7 @@ def test_import_sets_one_blas_thread_unless_user_set(preset, expected):
 
 # four to seven live 1.5-3 MB arrays per round, like a sampler trial's working set
 _HEAP_CHURN = """
-import resource, itercdma, numpy as np
+import json, resource, itercdma, numpy as np
 def churn():
     for i in range(20):
         arrays = [np.ones((1_500_000 + 250_000 * ((i + j) % 7)) // 8) for j in range(4 + i % 4)]
@@ -100,6 +101,7 @@ churn()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 churn()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(itercdma.HEAP_POLICY, separators=(",", ":")))
 """
 
 
@@ -110,11 +112,13 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 ], ids=["default", "malloc_env", "tunables"])
 def test_import_keeps_freed_heap_mapped_unless_user_set(preset):
     # the policy's whole effect: freed sampler-sized arrays are reused, not faulted in again
-    [faults] = _python_with_itercdma(_HEAP_CHURN, **preset)
+    faults, policy = _python_with_itercdma(_HEAP_CHURN, **preset)
     if preset:
         assert int(faults) > 10_000
+        assert json.loads(policy) == "user"
     else:
         assert int(faults) < 100
+        assert json.loads(policy) == {"M_MMAP_THRESHOLD": 32 << 20, "M_TRIM_THRESHOLD": 256 << 20}
 
 
 def test_import_loads_no_scipy_special_or_optimize():
