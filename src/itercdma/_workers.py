@@ -6,14 +6,13 @@ one process-wide pool of ``fork`` workers, then returns ``fn(item)`` for
 every item in item order.  Items must be independent under ``fn``, so each
 result is the same bit for bit whatever the number of parts; callers reduce
 the results in the calling process, in item order.  ``fn`` must pickle: a
-module-level function, or a ``functools.partial`` of one (not a lambda).
+module-level function or method, or a ``functools.partial`` of one.  A
+batch function maps over one row part per process (``TurboCode.decode``).
 
 A warning raised by an item in a worker is issued again in the calling
 process, in item order.  When items raise, the exception of the lowest
 failing item propagates, once every part has finished, so no part of one
-call is still running when the next call starts.  ``split_rows(fn, rows)``
-splits the rows of one array batch the same way and concatenates ``fn`` of
-each part, for functions that work on whole batches.
+call is still running when the next call starts.
 
 The pool is created on the first split with more than one part, which is
 also when ``multiprocessing`` is first imported, and is reused until the
@@ -31,8 +30,6 @@ import os
 import sys
 import traceback
 import warnings
-
-import numpy as np
 
 _pool = None
 _pool_pid = None      # the process that created _pool; a forked child must not use it
@@ -136,10 +133,3 @@ def split_map(fn, items) -> list:
         results += part
     return results
 
-
-def split_rows(fn, rows: np.ndarray) -> np.ndarray:
-    """``fn(rows)``, computed over contiguous row parts in parallel processes."""
-    parts = min(len(rows), process_count())
-    if parts < 2:
-        return fn(rows)
-    return np.concatenate(split_map(fn, np.array_split(rows, parts)))

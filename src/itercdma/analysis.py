@@ -42,6 +42,11 @@ LOAD_GRID = tuple(i / 20 for i in range(1, 41))  # capacity-search loads 0.05, 0
 # estimation-error variances
 
 
+def check_error_rate(error_rate: float) -> None:
+    if not 0.0 <= error_rate <= 0.5:
+        raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
+
+
 def training_estimate_variance(noise_var: float, coherence_time: float,
                                n_paths: float, load: float) -> float:
     """Per-coefficient error variance of training-only estimation."""
@@ -60,6 +65,7 @@ def feedback_estimate_variance(error_rate: float, load: float, n_paths: float,
     With a training fraction alpha, feedback errors only touch the
     remaining periods, so the effective error rate is (1-alpha)*Pe.
     """
+    check_error_rate(error_rate)
     if coherence_time < 1:
         raise ParameterError("coherence_time must be at least 1")
     pe_eff = (1.0 - training_fraction) * error_rate
@@ -108,7 +114,8 @@ def residual_interference_variance(est_error_variance: float, load: float,
                                    n_paths: float, error_rate: float,
                                    noise_var: float) -> float:
     """Power of residual interference plus noise at one cleaned path output."""
-    if min(est_error_variance, load, n_paths, noise_var) < 0 or error_rate < 0:
+    check_error_rate(error_rate)
+    if min(est_error_variance, load, n_paths, noise_var) < 0:
         raise ParameterError("all inputs must be nonnegative")
     return (load * n_paths * est_error_variance
             + 4.0 * load * (1.0 - error_rate) * error_rate
@@ -125,11 +132,6 @@ class PicOutputModel:
     @property
     def sinr(self) -> float:
         return self.gain ** 2 / self.variance
-
-
-def check_error_rate(error_rate: float) -> None:
-    if not 0.0 <= error_rate <= 0.5:
-        raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
 
 
 def pic_output_model(error_rate: float, est_error_variance: float,
@@ -234,6 +236,8 @@ class ConvergenceCheck:
 def check_convergence_conditions(g, initial_interference_var: float,
                                  coeffs: MapCoefficients) -> ConvergenceCheck:
     """Evaluate both start-up conditions in the interference-power domain."""
+    if not coeffs.d1 > 0:
+        raise ParameterError(f"D1 must be positive, got {coeffs.d1}")
     within = initial_interference_var < g.sigma_I_max
     threshold = (initial_interference_var - coeffs.d0) / coeffs.d1
     value = float(g(initial_interference_var))

@@ -116,6 +116,7 @@ def cmd_fig2(args) -> int:
                        coherence_time=10, noise_var=noise_var_from_snr_db(5.0),
                        code_model="shifted", seed=20)
     configs = [dataclasses.replace(cfg, coherence_time=m) for m in args.coherence_times]
+    analysis.check_error_rate(args.error_rate)
     for cfg_m in configs:
         # the noise-part prediction noise_var/M needs M > L*K/N
         analysis.training_estimate_variance(cfg_m.noise_var, cfg_m.coherence_time,

@@ -17,10 +17,10 @@ a block of time steps at a time, and the posterior LLRs are formed after
 the sweep over the same blocks.  The operands meet in the same order as in
 the textbook two-loop form, so the posteriors are the same bit for bit.
 
-Codewords decode independently, so ``TurboCode.decode`` splits its rows
-into one contiguous part per usable CPU: the calling process decodes the
-first part and forked workers the rest (``itercdma._workers``), and the
-decisions are the same bit for bit as one decode of the whole batch.  The
+Codewords decode independently, so ``TurboCode.decode`` maps the decoder
+over one contiguous row part per usable CPU (``itercdma._workers.split_map``):
+the calling process decodes the first part and forked workers the rest, and
+the decisions are the same bit for bit as one decode of the whole batch.  The
 encoder steps a byte of input at a time through (state, byte) tables.
 
 LLR convention throughout: positive means bit 0 / symbol +1.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._workers import split_rows
+from .._workers import process_count, split_map
 from ..exceptions import ParameterError
 from .convolutional import _CHUNK, _NEG, shift_register_trellis
 
@@ -181,7 +181,8 @@ class TurboCode:
         if soft.shape[1] != 2 * self.info_length:
             raise ParameterError(
                 f"soft length {soft.shape[1]} != {2 * self.info_length}")
-        return split_rows(self._decode_rows, soft)
+        parts = np.array_split(soft, max(1, min(len(soft), process_count())))
+        return np.concatenate(split_map(self._decode_rows, parts))
 
     def _decode_rows(self, soft: np.ndarray) -> np.ndarray:
         sys_llr = soft[:, 0::2]

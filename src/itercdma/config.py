@@ -146,14 +146,9 @@ def noise_var_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _experiment_tag(experiment_id: str) -> int:
-    return int.from_bytes(hashlib.sha256(experiment_id.encode()).digest()[:8], "big")
-
-
 def derive_stream(master_seed: int, experiment_id: str, trial: int) -> np.random.Generator:
     """Independent, reproducible RNG stream for one Monte Carlo trial."""
     if trial < 0:
         raise ParameterError("trial index must be nonnegative")
-    seq = np.random.SeedSequence(
-        [master_seed & _MASK64, _experiment_tag(experiment_id), trial])
-    return np.random.default_rng(seq)
+    tag = int.from_bytes(hashlib.sha256(experiment_id.encode()).digest()[:8], "big")
+    return np.random.default_rng(np.random.SeedSequence([master_seed & _MASK64, tag, trial]))

@@ -115,7 +115,7 @@ def pic_mrc_frame(chips: np.ndarray, codes: np.ndarray, est_gains: np.ndarray,
     holds to machine precision in every period.
     """
     m, k, l, n = codes.shape
-    est = np.broadcast_to(est_gains, (m, k, l)) if est_gains.ndim == 2 else est_gains
+    est = np.broadcast_to(est_gains, (m, k, l))
     fb = feedback.T.astype(np.float64)                                # (M, K)
     amp = est * fb[:, :, None]
     recon = _real_matmul(codes.reshape(m, k * l, n).transpose(0, 2, 1),
@@ -174,8 +174,8 @@ def _pic_frame(config: SystemConfig, error_rate: float, experiment_id: str,
                                        chips).reshape(-1, *gains.shape)
     det = pic_mrc_frame(chips, codes, est, feedback, true_gains=gains, true_symbols=symbols)
     signal = np.sum(est.conj() * gains, axis=-1)               # (M, K)
-    b = symbols.T.astype(np.float64)                          # (M, K)
-    return ((det.combined * b).real, symbols.T, np.abs(det.combined * b - signal) ** 2,
+    zb = det.combined * symbols.T                             # (M, K)
+    return (zb.real, symbols.T, np.abs(zb - signal) ** 2,
             np.abs(det.residual) ** 2,
             int(np.sum((det.combined.real >= 0) != (symbols.T > 0))),
             np.sum(np.abs(gains) ** 2, axis=1))

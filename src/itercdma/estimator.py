@@ -92,9 +92,6 @@ class ChannelEstimate:
     gains_flat: np.ndarray        # (K*L,) complex
     solve_info: SolveResult
 
-    def gains_matrix(self, n_paths: int) -> np.ndarray:
-        return self.gains_flat.reshape(-1, n_paths)
-
 
 def ml_estimate(stacked: StackedMatrix, received_vec: np.ndarray) -> ChannelEstimate:
     """Least-squares channel estimate by the guarded direct (Cholesky) solve."""

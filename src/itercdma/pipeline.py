@@ -34,6 +34,14 @@ for bit, and ``perfect_init``'s stage 0 is ``perfect_csi``'s.  The capacity
 search uses this to read the ``lmmse_only`` receiver off the iterative
 runs it has already made.
 
+The loop reuses the period it detects: from stage 1 on, its PIC cancels at
+period t with the all-period estimate, which has already fitted period t's
+fed-back decision.  Acceptance criteria 4-5 and ``measure_pic_stats``
+describe the leave-one-out receiver instead.  As measured, one PIC stage's
+per-path residual power sits 15-32% below the closed form, and
+``iterative`` stalls at final info BER 0.25-0.47 at loads where the map
+certifies a unique fixed point (conv code, 5 dB, N=32, L=5, M=10 and 20).
+
 The trace records, per iteration, the realized feedback symbol error rate,
 info-bit error rate, truth-assisted estimation MSE and residual
 interference power.  The scalar map that predicts this trajectory lives in
@@ -180,7 +188,7 @@ def _run_trial(config: SystemConfig, codec: ChannelCodec, n_iter: int, mode: str
                 ests[b] = channels[b]
             else:
                 stacked = build_stacked_matrix(codes[:p], believed[b, :, :p])
-                ests[b] = ml_estimate(stacked, chips[b, :p].reshape(-1)).gains_matrix(ll)
+                ests[b] = ml_estimate(stacked, chips[b, :p].reshape(-1)).gains_flat.reshape(kk, ll)
                 mse_acc += np.mean(np.abs(ests[b] - channels[b]) ** 2)
             if d == 0:
                 soft[b], bias[b] = lmmse_detect_frame(chips[b, m_t:], data_codes,

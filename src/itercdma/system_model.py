@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import check_error_rate
 from .config import SystemConfig
 from .exceptions import ConfigurationError, ParameterError
 from .solvers import _real_matmul
@@ -164,8 +165,7 @@ def corrupt_feedback(symbols: np.ndarray,
     periods is replaced by the known truth (the blended estimator treats
     those periods as error-free).
     """
-    if not 0.0 <= error_rate <= 0.5:
-        raise ParameterError(f"error_rate must lie in [0, 0.5], got {error_rate}")
+    check_error_rate(error_rate)
     flips = rng.random(symbols.shape) < error_rate
     flips[:, :n_training] = False
     return np.where(flips, -symbols, symbols).astype(np.int8)

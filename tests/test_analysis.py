@@ -103,9 +103,15 @@ class TestDetectorModel:
 
     @pytest.mark.parametrize("error_rate", [-0.1, 0.6, np.nan])
     def test_pic_output_error_rate_outside_range_rejected(self, error_rate):
-        with pytest.raises(ParameterError,
-                           match=rf"error_rate must lie in \[0, 0.5\], got {error_rate}"):
-            analysis.pic_output_model(error_rate, 0.0, 5, 0.7)
+        # the two closed forms used to return a number here (0.0473 and 0.478 at
+        # Pe = 0.7) or NaN; every entry point applies the one range check
+        for model in (lambda: analysis.pic_output_model(error_rate, 0.0, 5, 0.7),
+                      lambda: analysis.feedback_estimate_variance(error_rate, 0.2, 5, 30, 0.3),
+                      lambda: analysis.residual_interference_variance(0.01, 0.2, 5,
+                                                                      error_rate, 0.3)):
+            with pytest.raises(ParameterError,
+                               match=rf"error_rate must lie in \[0, 0.5\], got {error_rate}"):
+                model()
 
 
 class TestMapCoefficients:
@@ -202,6 +208,15 @@ class TestConvergenceConditions:
         coeffs = analysis.MapCoefficients(d0=0.5, d1=1.0)
         assert not analysis.check_convergence_conditions(curve, 0.1,
                                                          coeffs).decreasing
+
+    @pytest.mark.parametrize("coeffs", [analysis.map_coefficients(0.0, 0.0, 5, 10),
+                                        analysis.MapCoefficients(d0=0.01, d1=-1.0)],
+                             ids=["zero", "negative"])
+    def test_d1_not_positive_rejected(self, coeffs):
+        # no load and no noise give D1 = 0, which used to raise ZeroDivisionError;
+        # a negative D1 used to flip the decrease inequality silently
+        with pytest.raises(ParameterError, match=f"D1 must be positive, got {coeffs.d1}"):
+            analysis.check_convergence_conditions(_linear_curve(0.3), 0.1, coeffs)
 
 
 def _sigmoid_table():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import itercdma
-from itercdma import _workers
+from itercdma import _workers, cli
 from itercdma.cli import main
 from itercdma.codec.gcurve import GCurve, make_gcurve
 
@@ -274,6 +274,27 @@ def test_library_error_is_one_line_before_any_output(tmp_path, argv, message):
     assert proc.stderr.startswith(message.format(tmp=tmp_path))
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error_rate", ["0.7", "nan"])
+def test_fig2_checks_its_error_rate_before_the_sampler(tmp_path, monkeypatch, capsys,
+                                                       error_rate):
+    # the first coherence time used to reach the sampler before the rate was rejected
+    calls = []
+    sampler = cli.empirical_estimation_stats
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_estimation_stats", record)
+    out = tmp_path / "never"
+    assert main(["fig2", "--error-rate", error_rate, "--coherence-times", "10",
+                 "--trials", "4", "--realizations", "2", "--out", str(out)]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", "itercdma fig2: error: error_rate must lie in "
+                                       f"[0, 0.5], got {float(error_rate)}\n")
     assert not out.exists()
 
 
