@@ -12,8 +12,9 @@ against a one-dimensional fixed-point map.
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
 is already set: the work is many small dense products, Grams 100-300 wide
 and frames 30-100 chips long, where OpenBLAS threads cost more than they
-save.  numpy and scipy each load their own OpenBLAS and read the variable
-then, so it only takes effect when ``itercdma`` is imported before numpy.
+save.  The package needs numpy alone; numpy's OpenBLAS reads the variable
+when numpy is loaded, so it only takes effect when ``itercdma`` is imported
+before numpy.
 
 On glibc, importing the package also fixes the allocator's mmap threshold
 at 32 MiB and its trim threshold at 256 MiB (``mallopt``), so the 1.5-3 MB

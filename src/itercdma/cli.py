@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import HEAP_POLICY, __version__, analysis, rmt
 from ._workers import process_count
@@ -67,7 +66,6 @@ def _write_outputs(args, experiment: str, files: dict, config=None, **extra) -> 
             "processes": process_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     if config is not None:

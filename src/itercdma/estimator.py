@@ -42,12 +42,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._workers import split_map
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError, RankError
-from .solvers import (SolveResult, _on_pairs, _real_matmul, cholesky_factor,
+from .solvers import (SolveResult, _on_pairs, _real_matmul, cholesky_factor, cholesky_solve,
                       solve_normal_equations)
 from . import system_model as sm
 
@@ -160,8 +159,9 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
         G^{-1} (y - S_t^T (r_t - c_t)),  (I - H_t) c_t = S_t G^{-1} y - H_t r_t,
 
     where H_t = S_t G^{-1} S_t^T = V_t^T V_t comes from the column block
-    V_t of V = L^{-1} S^T, formed as one triangular product with the
-    explicit inverse L^{-1}.  All periods share one final solve with G.
+    V_t of V = L^{-1} S^T, one dense product with the inverse factor L^{-1}
+    that :func:`cholesky_factor` forms.  All periods share one final solve
+    with G.
     """
     m, n = chips.shape
     s = stacked.matrix
@@ -169,25 +169,16 @@ def leave_one_out_estimates_fast(stacked: StackedMatrix,
         raise ParameterError("stacked matrix does not cover all periods")
     kl = s.shape[1]
     factor, _ = cholesky_factor(s.T @ s)
-
-    def gram_solve(rhs):
-        return _on_pairs(lambda pairs: sla.cho_solve(factor, pairs, check_finite=False),
-                         rhs)
-
     periods = s.reshape(m, n, kl)                                    # S_t
     proj_all = _real_matmul(s.T, chips.reshape(-1))                  # y
-    base = gram_solve(proj_all)
-    # L^{-1} by trtri, then one triangular product: faster than a trsm here
-    inverse, info = sla.lapack.dtrtri(factor[0], lower=1)
-    if info != 0:
-        raise RankError(f"Cholesky factor is singular (dtrtri info {info})")
-    v = sla.blas.dtrmm(1.0, inverse, s.T, lower=1)
+    base = cholesky_solve(factor, proj_all)
+    v = factor.inverse_lower @ s.T
     v = v.reshape(kl, m, n).transpose(1, 0, 2)                       # V_t, (M, KL, N)
     h = v.transpose(0, 2, 1) @ v                                     # H_t, (M, N, N)
     rhs = _real_matmul(periods, base) - _real_matmul(h, chips[..., None])[..., 0]
     c = _on_pairs(lambda pairs: np.linalg.solve(np.eye(n) - h, pairs), rhs[..., None])
     kept = proj_all - _real_matmul(periods.transpose(0, 2, 1), chips[..., None] - c)[..., 0]
-    return gram_solve(kept.T).T
+    return cholesky_solve(factor, kept.T).T
 
 
 @dataclass

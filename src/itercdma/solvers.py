@@ -2,9 +2,12 @@
 
 R is the real symmetric Gram matrix of the stacked code matrix; y may be
 complex (real codes, complex received samples).  The direct path is a
-Cholesky solve with a reciprocal-condition guard.  Jacobi and Gauss-Seidel
-come with the textbook convergence prechecks: Gauss-Seidel needs R positive
-definite, Jacobi needs both R and 2*diag(R) - R positive definite.  For the
+Cholesky solve with a condition guard, on numpy alone: numpy has no
+triangular solve, so the inverse factor L^{-1} is formed once by a block
+recursion on matrix products and every solve is one product with
+R^{-1} = L^{-T} L^{-1}.  Jacobi and Gauss-Seidel come with the textbook
+convergence prechecks: Gauss-Seidel needs R positive definite, Jacobi needs
+both R and 2*diag(R) - R positive definite.  For the
 estimation Gram matrix, diag(R) is M*I, so the Jacobi condition fails
 exactly when the largest eigenvalue of R/M reaches 2 - that happens once
 the equivalent stacked load passes (sqrt(2)-1)^2, and is reported as a
@@ -16,13 +19,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import ParameterError, RankError, SolverError
 
 CONDITION_LIMIT = 1e12
+INVERSE_LEAF = 32   # blocks up to this order are inverted by LAPACK directly
 
 
 @dataclass
@@ -42,26 +46,66 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
         return False
 
 
-def cholesky_factor(gram: np.ndarray) -> tuple[tuple, float]:
-    """Lower Cholesky factor of a Gram matrix and its 1-norm condition estimate.
+class CholeskyFactor(NamedTuple):
+    """R = L L^T with L^{-1} and R^{-1} = L^{-T} L^{-1}, formed once for every solve."""
 
-    The factor is in :func:`scipy.linalg.cho_factor` form, ready for
-    :func:`scipy.linalg.cho_solve`.  Raises :class:`RankError` when the
-    matrix is not positive definite or its condition estimate exceeds
-    ``CONDITION_LIMIT``; every Cholesky solve in the package goes through
-    this one guard.
+    lower: np.ndarray
+    inverse_lower: np.ndarray
+    inverse: np.ndarray
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a nonzero diagonal.
+
+    With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]:
+    the halves recurse and the corner block is two matrix products, so nearly
+    all the work runs as BLAS matrix products.  Blocks up to
+    ``INVERSE_LEAF`` are inverted by ``np.linalg.inv``, whose roundoff above
+    the diagonal is dropped at the end.
+    """
+    inverse = np.zeros_like(lower, dtype=float)
+    _invert_into(lower, inverse)
+    return np.tril(inverse)
+
+
+def _invert_into(lower: np.ndarray, out: np.ndarray) -> None:
+    n = lower.shape[0]
+    if n <= INVERSE_LEAF:
+        out[...] = np.linalg.inv(lower)
+        return
+    h = n // 2
+    _invert_into(lower[:h, :h], out[:h, :h])
+    _invert_into(lower[h:, h:], out[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ lower[h:, :h]) @ out[:h, :h]
+
+
+def cholesky_factor(gram: np.ndarray) -> tuple[CholeskyFactor, float]:
+    """Cholesky factor of a Gram matrix, its inverses and its 1-norm condition.
+
+    The condition is exact, ||R||_1 ||R^{-1}||_1, never below LAPACK's
+    ``dpocon`` estimate of it.  Raises :class:`RankError` when the matrix is
+    not positive definite or its condition exceeds ``CONDITION_LIMIT``; a
+    Gram holding NaN or inf has condition inf.  Every Cholesky solve in the
+    package goes through this one guard.
     """
     try:
-        factor = sla.cho_factor(gram, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise RankError(f"Gram matrix is not positive definite: {exc}") from exc
-    anorm = np.linalg.norm(gram, 1)
-    rcond, info = sla.lapack.dpocon(factor[0], anorm, uplo="L")
-    condition = np.inf if (info != 0 or rcond == 0.0) else 1.0 / rcond
+        raise RankError("Gram matrix is not positive definite") from exc
+    inverse_lower = _lower_inverse(lower)
+    inverse = inverse_lower.T @ inverse_lower
+    condition = float(np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1))
+    if np.isnan(condition):
+        condition = np.inf
     if condition > CONDITION_LIMIT:
         raise RankError(
             f"Gram matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return factor, float(condition)
+    return CholeskyFactor(lower, inverse_lower, inverse), condition
+
+
+def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """R^{-1} rhs for the factor of :func:`cholesky_factor`; ``rhs`` may be complex."""
+    return _real_matmul(factor.inverse, rhs)
 
 
 def _on_pairs(op, z: np.ndarray) -> np.ndarray:
@@ -90,7 +134,7 @@ def _real_matmul(real: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
     factor, condition = cholesky_factor(gram)
-    x = _on_pairs(lambda pairs: sla.cho_solve(factor, pairs, check_finite=False), rhs)
+    x = cholesky_solve(factor, rhs)
     res = (np.linalg.norm(_real_matmul(gram, x) - rhs)
            / max(np.linalg.norm(rhs), np.finfo(float).tiny))
     return SolveResult(solution=x, iterations=0, residual=float(res), condition=condition)
@@ -118,12 +162,12 @@ def _iterative_solve(gram: np.ndarray, rhs: np.ndarray, method: str,
     residual = rhs - gram @ x
     res_norms = [np.linalg.norm(residual)]
     if method == "gauss_seidel":
-        lower = np.tril(gram)
+        lower_inverse = _lower_inverse(np.tril(gram))   # (D + L)^{-1}, one product a sweep
     for it in range(1, max_iter + 1):
         if method == "jacobi":
             x = x + residual / diag
         else:
-            x = x + sla.solve_triangular(lower, residual, lower=True, check_finite=False)
+            x = x + _real_matmul(lower_inverse, residual)
         residual = rhs - gram @ x
         res_norms.append(np.linalg.norm(residual))
         if res_norms[-1] <= tol * rhs_norm:

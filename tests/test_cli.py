@@ -56,7 +56,7 @@ def test_fig2_writes_sweep_and_manifest(tmp_path, capsys):
     assert env["processes"] == _workers.process_count() >= 1
     assert env["heap_policy"] == itercdma.HEAP_POLICY
     assert set(env) == {"OPENBLAS_NUM_THREADS", "heap_policy", "cpu_count", "processes",
-                        "python", "numpy", "scipy"}
+                        "python", "numpy"}
     assert "M=" in capsys.readouterr().out
 
 

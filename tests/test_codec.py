@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,16 @@ def _running(pid):
         return False
 
 
+def _ends_within(pid, seconds=5.0):
+    """Whether process ``pid`` stops running within ``seconds``, polled."""
+    deadline = time.monotonic() + seconds
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 def _decode_in_child(turbo, soft, results):
     results.put((turbo.decode(soft), _workers.process_count()))
 
@@ -458,14 +469,15 @@ class TestDecodeProcesses:
         src = str(Path(itercdma.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        # the worker shares the captured stdout, so this also waits for it to end
+        # the worker shares the captured stdout, so this waits until it is
+        # exiting; it closes its files before it ends, so its end is polled
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == status, proc.stderr
         pids = [int(pid) for pid in proc.stdout.split()]
         assert pids
         for pid in pids:
-            assert not _running(pid)
+            assert _ends_within(pid)
 
 
 class TestInterleaver:

@@ -129,6 +129,13 @@ def test_import_loads_no_scipy_special_or_optimize():
     assert _python_with_itercdma(code) == []
 
 
+def test_import_loads_no_scipy():
+    # scipy.linalg alone adds about 21 MB of resident memory to every process
+    code = ("import sys, itercdma.pipeline, itercdma.rmt, itercdma.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python_with_itercdma(code) == []
+
+
 def test_config_text_rejects_non_numeric_value(tmp_path):
     text = "n_users = abc\nspreading_gain = 8\n"
     with pytest.raises(ConfigurationError, match="line 1: n_users expects int, got 'abc'"):

@@ -7,7 +7,8 @@ from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream
 from itercdma.estimator import build_stacked_matrix
 from itercdma.exceptions import ParameterError, RankError, SolverError
-from itercdma.solvers import solve_normal_equations
+from itercdma.solvers import (INVERSE_LEAF, cholesky_factor, cholesky_solve,
+                              solve_normal_equations)
 
 
 def _random_gram(n_users, spreading_gain, coherence_time, seed, error_rate=0.1):
@@ -83,6 +84,52 @@ def test_ill_conditioned_gram_raises_rank_error():
     gram = np.diag(np.array([1.0, 1e-13, 1.0, 1.0]))
     with pytest.raises(RankError):
         solve_normal_equations(gram, np.ones(4))
+
+
+def _pd_gram(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3 * n, n))
+    return a.T @ a, rng
+
+
+@pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF, INVERSE_LEAF + 1, 70, 150])
+def test_cholesky_solve_matches_numpy_solve(n):
+    gram, rng = _pd_gram(n, seed=n)
+    real = rng.standard_normal((n, 2))
+    cplx = real[:, 0] + 1j * rng.standard_normal(n)
+    factor, _ = cholesky_factor(gram)
+    for rhs in (real, real[:, 0], cplx, np.column_stack([cplx, 2j * cplx])):
+        got = cholesky_solve(factor, rhs)
+        ref = np.linalg.solve(gram, rhs)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_allclose(solve_normal_equations(gram, cplx).solution,
+                               np.linalg.solve(gram, cplx), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF + 1, 150])
+def test_cholesky_factor_reports_exact_condition_and_lower_triangle(n):
+    gram, _ = _pd_gram(n, seed=100 + n)
+    factor, condition = cholesky_factor(gram)
+    assert condition == pytest.approx(np.linalg.cond(gram, 1), rel=1e-9)
+    lower = factor[0]
+    assert np.array_equal(lower, np.tril(lower))
+    np.testing.assert_allclose(lower @ lower.T, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
+    assert np.array_equal(factor.inverse_lower, np.tril(factor.inverse_lower))
+    np.testing.assert_allclose(factor.inverse_lower @ lower, np.eye(n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gram, message", [
+    (-np.eye(3), "not positive definite"),
+    (np.diag([1.0, 1e-13, 1.0]), r"condition estimate 1.000e\+13"),
+    (np.full((3, 3), np.nan), "condition estimate inf"),
+    (np.diag([np.inf, 1.0, 1.0]), "condition estimate inf"),
+    # the factor reads only the lower triangle, the norm all of it
+    (np.eye(3) + np.triu(np.full((3, 3), np.nan), 1), "condition estimate inf"),
+], ids=["negative", "ill-conditioned", "nan", "inf", "nan-above-diagonal"])
+def test_cholesky_factor_guard(gram, message):
+    with pytest.raises(RankError, match=message):
+        cholesky_factor(gram)
 
 
 def test_bad_arguments():
