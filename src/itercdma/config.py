@@ -143,7 +143,11 @@ def read_text(path) -> str:
 
 def noise_var_from_snr_db(snr_db: float) -> float:
     """Complex noise variance for a unit-power user at the given input SNR."""
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ParameterError(
+            f"snr_db {snr_db} dB puts the noise variance past the float range") from None
 
 
 def derive_stream(master_seed: int, experiment_id: str, trial: int) -> np.random.Generator:

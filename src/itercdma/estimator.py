@@ -46,8 +46,7 @@ import numpy as np
 from ._workers import split_map
 from .config import SystemConfig, derive_stream
 from .exceptions import ParameterError, RankError
-from .solvers import (SolveResult, _on_pairs, _real_matmul, cholesky_factor, cholesky_solve,
-                      solve_normal_equations)
+from .solvers import SolveResult, _on_pairs, _real_matmul, inverse_gram, solve_normal_equations
 from . import system_model as sm
 
 
@@ -143,42 +142,40 @@ def decompose_error(gains_flat: np.ndarray,
 
 def leave_one_out_estimates_fast(stacked: StackedMatrix,
                                  chips: np.ndarray) -> np.ndarray:
-    """All M leave-one-out estimates from one factorization.
+    """All M leave-one-out estimates from one inverse Gram.
 
     Row ``t`` leaves out period ``t``, as the no-information-reuse rule for a
     detector at period ``t`` requires.  Downdates the all-periods normal
     equations by each period's rows via the matrix inversion lemma;
     identical (to rounding) to refitting with the period removed, but one
-    Cholesky factorization serves all periods.
+    inverse Gram serves all periods.
     ``chips`` is the (M, N) received array matching the stacked matrix.
     Raises :class:`RankError` under the same guard as :func:`ml_estimate`.
 
-    With G = S^T S = L L^T, y = S^T r and S_t, r_t the rows and chips of
-    period t, the estimate without period t is
+    With G = S^T S, y = S^T r and S_t, r_t the rows and chips of period t,
+    the estimate without period t is
 
-        G^{-1} (y - S_t^T (r_t - c_t)),  (I - H_t) c_t = S_t G^{-1} y - H_t r_t,
+        G^{-1} (y - S_t^T (r_t - c_t)),  (I - H_t) c_t = W_t y - H_t r_t,
 
-    where H_t = S_t G^{-1} S_t^T = V_t^T V_t comes from the column block
-    V_t of V = L^{-1} S^T, one dense product with the inverse factor L^{-1}
-    that :func:`cholesky_factor` forms.  All periods share one final solve
-    with G.
+    where W_t = S_t G^{-1} is the row block of W = S G^{-1}, one dense
+    product with the G^{-1} that :func:`inverse_gram` forms, and
+    H_t = W_t S_t^T.  All periods share one final product with G^{-1}.
     """
     m, n = chips.shape
     s = stacked.matrix
     if s.shape[0] != m * n:
         raise ParameterError("stacked matrix does not cover all periods")
     kl = s.shape[1]
-    factor, _ = cholesky_factor(s.T @ s)
+    inverse, _ = inverse_gram(s.T @ s)
     periods = s.reshape(m, n, kl)                                    # S_t
     proj_all = _real_matmul(s.T, chips.reshape(-1))                  # y
-    base = cholesky_solve(factor, proj_all)
-    v = factor.inverse_lower @ s.T
-    v = v.reshape(kl, m, n).transpose(1, 0, 2)                       # V_t, (M, KL, N)
-    h = v.transpose(0, 2, 1) @ v                                     # H_t, (M, N, N)
-    rhs = _real_matmul(periods, base) - _real_matmul(h, chips[..., None])[..., 0]
+    # G^{-1} is symmetric, so W = (G^{-1} S^T)^T; BLAS runs this shape faster than S G^{-1}
+    w = (inverse @ s.T).T.reshape(m, n, kl)                          # W_t
+    h = w @ periods.transpose(0, 2, 1)                               # H_t, (M, N, N)
+    rhs = _real_matmul(w, proj_all) - _real_matmul(h, chips[..., None])[..., 0]
     c = _on_pairs(lambda pairs: np.linalg.solve(np.eye(n) - h, pairs), rhs[..., None])
     kept = proj_all - _real_matmul(periods.transpose(0, 2, 1), chips[..., None] - c)[..., 0]
-    return cholesky_solve(factor, kept.T).T
+    return _real_matmul(inverse, kept.T).T
 
 
 @dataclass

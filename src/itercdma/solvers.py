@@ -1,13 +1,13 @@
 """Direct and classical iterative solvers for the normal equations R x = y.
 
 R is the real symmetric Gram matrix of the stacked code matrix; y may be
-complex (real codes, complex received samples).  The direct path is a
-Cholesky solve with a condition guard, on numpy alone: numpy has no
-triangular solve, so the inverse factor L^{-1} is formed once by a block
-recursion on matrix products and every solve is one product with
-R^{-1} = L^{-T} L^{-1}.  Jacobi and Gauss-Seidel come with the textbook
-convergence prechecks: Gauss-Seidel needs R positive definite, Jacobi needs
-both R and 2*diag(R) - R positive definite.  For the
+complex (real codes, complex received samples).  The direct path is one
+primitive, :func:`inverse_gram`: a Cholesky check and condition guard on
+numpy alone that hands out R^{-1} = L^{-T} L^{-1}, with L^{-1} formed by a
+block recursion on matrix products (numpy has no triangular solve), so that
+every direct solve is one product with R^{-1}.  Jacobi and Gauss-Seidel
+come with the textbook convergence prechecks: Gauss-Seidel needs R positive
+definite, Jacobi needs both R and 2*diag(R) - R positive definite.  For the
 estimation Gram matrix, diag(R) is M*I, so the Jacobi condition fails
 exactly when the largest eigenvalue of R/M reaches 2 - that happens once
 the equivalent stacked load passes (sqrt(2)-1)^2, and is reported as a
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +43,6 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-class CholeskyFactor(NamedTuple):
-    """R = L L^T with L^{-1} and R^{-1} = L^{-T} L^{-1}, formed once for every solve."""
-
-    lower: np.ndarray
-    inverse_lower: np.ndarray
-    inverse: np.ndarray
 
 
 def _lower_inverse(lower: np.ndarray) -> np.ndarray:
@@ -79,33 +70,28 @@ def _invert_into(lower: np.ndarray, out: np.ndarray) -> None:
     out[h:, :h] = -(out[h:, h:] @ lower[h:, :h]) @ out[:h, :h]
 
 
-def cholesky_factor(gram: np.ndarray) -> tuple[CholeskyFactor, float]:
-    """Cholesky factor of a Gram matrix, its inverses and its 1-norm condition.
+def inverse_gram(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse R^{-1} = L^{-T} L^{-1} of a Gram matrix R = L L^T and its 1-norm condition.
 
     The condition is exact, ||R||_1 ||R^{-1}||_1, never below LAPACK's
     ``dpocon`` estimate of it.  Raises :class:`RankError` when the matrix is
     not positive definite or its condition exceeds ``CONDITION_LIMIT``; a
-    Gram holding NaN or inf has condition inf.  Every Cholesky solve in the
+    Gram holding NaN or inf has condition inf.  Every direct solve in the
     package goes through this one guard.
     """
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise RankError("Gram matrix is not positive definite") from exc
-    inverse_lower = _lower_inverse(lower)
-    inverse = inverse_lower.T @ inverse_lower
+    lower_inv = _lower_inverse(lower)
+    inverse = lower_inv.T @ lower_inv
     condition = float(np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1))
     if np.isnan(condition):
         condition = np.inf
     if condition > CONDITION_LIMIT:
         raise RankError(
             f"Gram matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    return CholeskyFactor(lower, inverse_lower, inverse), condition
-
-
-def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """R^{-1} rhs for the factor of :func:`cholesky_factor`; ``rhs`` may be complex."""
-    return _real_matmul(factor.inverse, rhs)
+    return inverse, condition
 
 
 def _on_pairs(op, z: np.ndarray) -> np.ndarray:
@@ -133,8 +119,8 @@ def _real_matmul(real: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _direct_solve(gram: np.ndarray, rhs: np.ndarray) -> SolveResult:
-    factor, condition = cholesky_factor(gram)
-    x = cholesky_solve(factor, rhs)
+    inverse, condition = inverse_gram(gram)
+    x = _real_matmul(inverse, rhs)
     res = (np.linalg.norm(_real_matmul(gram, x) - rhs)
            / max(np.linalg.norm(rhs), np.finfo(float).tiny))
     return SolveResult(solution=x, iterations=0, residual=float(res), condition=condition)

@@ -225,6 +225,8 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
      "itercdma fig3: error: error_rate must lie in [0, 0.5], got 0.7"),
     (["fig3", "--error-rates", "0.1,nan", "--frames", "5", "--realizations", "5"],
      "itercdma fig3: error: error_rate must lie in [0, 0.5], got nan"),
+    (["fig3", "--snrs-db", "-4000", "--frames", "5", "--realizations", "5"],
+     "itercdma fig3: error: snr_db -4000.0 dB puts the noise variance past the float range"),
     (["capacity", "--modes", "lmmse_only,iterative", "--iterations", "0",
       "--coherence-times", "10", "--trials", "1"],
      "itercdma capacity: error: iterations must be at least 1"),
@@ -254,7 +256,8 @@ def test_bad_argument_is_usage_error_before_any_work(tmp_path, capsys, argv):
         "fig2_trials_not_a_multiple", "fig3_frames_not_a_multiple",
         "fixedpoint_negative_rates", "fixedpoint_zero_max_iter",
         "fixedpoint_negative_max_iter", "fig3_second_error_rate_past_half",
-        "fig3_second_error_rate_nan", "capacity_zero_iterations_after_lmmse_only",
+        "fig3_second_error_rate_nan", "fig3_snr_past_float_range",
+        "capacity_zero_iterations_after_lmmse_only",
         "capacity_second_block_pure_training", "fig2_second_coherence_time_at_bound",
         "fig2_missing_config", "fig2_config_is_a_directory", "fig2_config_not_text",
         "fixedpoint_missing_curve", "fig2_duplicate_config_key"])

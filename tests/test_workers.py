@@ -18,7 +18,7 @@ from conftest import assert_same_fields
 from itercdma import _workers, detector, estimator, pipeline, rmt
 from itercdma.config import SystemConfig
 from itercdma.exceptions import RankError
-from itercdma.solvers import cholesky_factor
+from itercdma.solvers import inverse_gram
 
 _SMALL = SystemConfig(n_users=4, spreading_gain=16, n_paths=2, coherence_time=8,
                       noise_var=0.1, seed=3)
@@ -113,12 +113,12 @@ def test_worker_error_propagates_and_the_pool_is_reused(use_cpus):
     use_cpus(2)
     grams = [np.eye(3), 2 * np.eye(3), np.zeros((3, 3))]     # only the worker's item fails
     with pytest.raises(RankError, match="not positive definite"):
-        _workers.split_map(cholesky_factor, grams)
+        _workers.split_map(inverse_gram, grams)
     pool = _workers._pool
     workers = {p.pid for p in multiprocessing.active_children()}
     assert workers
-    factors = _workers.split_map(cholesky_factor, grams[:2] + [3 * np.eye(3)])
-    assert [f[0][0][0, 0] ** 2 for f in factors] == pytest.approx([1.0, 2.0, 3.0])
+    inverses = _workers.split_map(inverse_gram, grams[:2] + [3 * np.eye(3)])
+    assert [1 / inverse[0, 0] for inverse, _ in inverses] == pytest.approx([1.0, 2.0, 3.0])
     assert _workers._pool is pool
     assert {p.pid for p in multiprocessing.active_children()} == workers
 
@@ -127,9 +127,9 @@ def test_lowest_failing_item_wins(use_cpus):
     use_cpus(3)
     grams = [np.eye(2), -np.eye(2), np.diag([1.0, 1e-20])]   # each item in its own part
     with pytest.raises(RankError, match="not positive definite"):
-        _workers.split_map(cholesky_factor, grams)
+        _workers.split_map(inverse_gram, grams)
     with pytest.raises(RankError, match="condition estimate"):
-        _workers.split_map(cholesky_factor, grams[::2])
+        _workers.split_map(inverse_gram, grams[::2])
 
 
 def _samplers_in_child(results):
