@@ -7,7 +7,8 @@ from itercdma import system_model as sm
 from itercdma.config import SystemConfig, derive_stream
 from itercdma.estimator import build_stacked_matrix
 from itercdma.exceptions import ParameterError, RankError, SolverError
-from itercdma.solvers import INVERSE_LEAF, inverse_gram, solve_normal_equations
+from itercdma.solvers import (INVERSE_LEAF, _lower_inverse, inverse_gram,
+                              solve_normal_equations)
 
 
 def _random_gram(n_users, spreading_gain, coherence_time, seed, error_rate=0.1):
@@ -93,14 +94,19 @@ def _pd_gram(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF, INVERSE_LEAF + 1, 70, 150])
 def test_inverse_gram_matches_numpy(n):
-    gram, rng = _pd_gram(n, seed=n)
-    real = rng.standard_normal((n, 2))
-    cplx = real[:, 0] + 1j * rng.standard_normal(n)
+    gram, _ = _pd_gram(n, seed=n)
     inverse, condition = inverse_gram(gram)
     ref_inverse = np.linalg.inv(gram)
     np.testing.assert_allclose(inverse, ref_inverse, rtol=0,
                                atol=1e-12 * np.abs(ref_inverse).max())
     assert condition == pytest.approx(np.linalg.cond(gram, 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF, INVERSE_LEAF + 1, 70, 150])
+def test_cholesky_solve_matches_numpy_solve(n):
+    gram, rng = _pd_gram(n, seed=n)
+    real = rng.standard_normal((n, 2))
+    cplx = real[:, 0] + 1j * rng.standard_normal(n)
     for rhs in (real, real[:, 0], cplx, np.column_stack([cplx, 2j * cplx])):
         got = solve_normal_equations(gram, rhs).solution
         ref = np.linalg.solve(gram, rhs)
@@ -108,6 +114,17 @@ def test_inverse_gram_matches_numpy(n):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_allclose(solve_normal_equations(gram, cplx).solution,
                                np.linalg.solve(gram, cplx), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, INVERSE_LEAF + 1, 150])
+def test_cholesky_factor_reports_exact_condition_and_lower_triangle(n):
+    gram, _ = _pd_gram(n, seed=100 + n)
+    _, condition = inverse_gram(gram)
+    assert condition == pytest.approx(np.linalg.cond(gram, 1), rel=1e-9)
+    lower = np.linalg.cholesky(gram)
+    lower_inv = _lower_inverse(lower)   # the recursion inverse_gram builds R^{-1} from
+    assert np.array_equal(lower_inv, np.tril(lower_inv))
+    np.testing.assert_allclose(lower_inv @ lower, np.eye(n), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("gram, message", [
